@@ -89,11 +89,10 @@ int Run() {
         r.accuracy.edge_recall, r.accuracy.mean_position_error_m,
         r.accuracy.mean_gaze_error_deg, r.accuracy.gaze_coverage);
     std::printf(
-        "stage timings (s): acquire %.2f detect %.2f identity %.2f "
-        "fuse %.3f ec %.3f store %.3f (total %.2f for %d frames -> "
-        "%.1f fps)\n",
-        r.timings.acquisition, r.timings.detection, r.timings.identity,
-        r.timings.fusion, r.timings.eye_contact, r.timings.storage,
+        "stage timings (s): acquire %.2f detect %.2f fuse %.3f "
+        "ec %.3f store %.3f (total %.2f for %d frames -> %.1f fps)\n",
+        r.timings.acquisition, r.timings.detection, r.timings.fusion,
+        r.timings.eye_contact, r.timings.storage,
         r.timings.Total(), r.frames_processed,
         r.frames_processed / r.timings.Total());
   }

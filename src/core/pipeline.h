@@ -90,12 +90,17 @@ struct PipelineOptions {
   int frame_stride = 1;
 
   /// Worker threads for the stateless vision stage (kFullVision only).
-  /// 1 = the sequential reference executor. > 1 enables the pipelined
-  /// streaming executor: per-(frame, camera) detection/landmarks/gaze/
-  /// identity/emotion tasks fan out across a pool while an ordered commit
-  /// stage applies tracking, fusion, accuracy, and repository writes in
-  /// frame order. Results are bit-identical to the sequential executor at
-  /// equal seeds.
+  /// Every run goes through one windowed executor: frames are acquired
+  /// in order, each frame's per-camera detection/landmarks/gaze/identity
+  /// tasks and its parse-signature task run, and an ordered commit stage
+  /// applies tracking, fusion, accuracy, and repository writes in frame
+  /// order. 1 = a window of one frame whose tasks run inline on the
+  /// calling thread (no pool, no speculative emotion predictions) — the
+  /// sequential reference. > 1 = a pool of this many workers and a
+  /// window of max(2, num_threads, prefetch_depth) frames in flight, with
+  /// emotion predictions speculated on the workers. Results are
+  /// bit-identical at every setting for equal seeds. kGroundTruth ignores
+  /// this and prefetch_depth: it always runs the one-frame window inline.
   int num_threads = 1;
 
   /// Time source for every stage timer, acquisition deadline, watchdog,
@@ -108,8 +113,8 @@ struct PipelineOptions {
   /// (kFullVision only). 0 = synchronous reads. > 0 starts a prefetch
   /// pump inside MultiCameraSource that runs the identical admission/
   /// read/fold sequence ahead of the consumer, bounded by this depth, so
-  /// decode + retries + deadline waits overlap analysis. Either this or
-  /// num_threads > 1 selects the pipelined executor.
+  /// decode + retries + deadline waits overlap analysis. Independent of
+  /// num_threads: the pump runs at any worker count.
   int prefetch_depth = 0;
 
   /// Durable persistence (optional; not owned, must outlive the run).
@@ -126,12 +131,14 @@ struct PipelineOptions {
   int checkpoint_every_frames = 0;
 
   /// Cooperative cancellation (optional; not owned, must outlive the
-  /// run). Polled at every frame boundary in all executors; once
-  /// Cancel() is observed the run stops WITHOUT processing the frame and
-  /// returns Status::Cancelled. Every already committed frame stays
-  /// acknowledged (and durable when a store is attached), so a
-  /// cancelled ground-truth run restarts from its checkpoint via the
-  /// normal resume path. This is the fleet scheduler's watchdog handle.
+  /// run). Polled before each frame is retired, at every setting and in
+  /// both modes; once Cancel() is observed the run stops WITHOUT
+  /// committing another frame and returns Status::Cancelled("run
+  /// cancelled before frame F"), F being the first uncommitted frame.
+  /// Every already committed frame stays acknowledged (and durable when
+  /// a store is attached), so a cancelled ground-truth run restarts
+  /// from its checkpoint via the normal resume path. This is the fleet
+  /// scheduler's watchdog handle.
   CancellationToken* cancel = nullptr;
 
   /// Invoked on the committing thread after each frame's records are
@@ -144,23 +151,27 @@ struct PipelineOptions {
   uint64_t seed = 42;  ///< master seed for training/augmentation
 };
 
-/// Wall-clock spent in each pipeline stage, seconds.
+/// Time spent in each pipeline stage, seconds, read from the run's
+/// clock. Work done on pool workers is summed across threads.
 struct StageTimings {
-  double acquisition = 0;  ///< frame decoding in ground-truth mode
-  /// Per-camera vision work: decode + detect + landmarks + gaze +
-  /// identity + tracking (one fused parallel section in kFullVision).
+  /// Frame reads: the synchronized multi-camera read in kFullVision, the
+  /// camera-0 decode for parsing in kGroundTruth.
+  double acquisition = 0;
+  /// Per-camera vision work: detect + landmarks + gaze + identity, plus
+  /// the ordered tracking + fusion commit (kFullVision).
   double detection = 0;
-  double identity = 0;     ///< reserved (folded into detection)
-  double fusion = 0;
+  double fusion = 0;       ///< truth-geometry hand-off (kGroundTruth)
   double eye_contact = 0;
   double emotion = 0;
+  /// Parse-signature compute for every frame in every mode, plus the
+  /// final shot/scene parse.
   double parsing = 0;
   double storage = 0;
   double training = 0;     ///< one-time emotion-recognizer training
 
   double Total() const {
-    return acquisition + detection + identity + fusion + eye_contact +
-           emotion + parsing + storage;
+    return acquisition + detection + fusion + eye_contact + emotion +
+           parsing + storage;
   }
 };
 

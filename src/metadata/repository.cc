@@ -13,7 +13,6 @@ namespace dievent {
 
 namespace {
 
-constexpr uint32_t kMagicV1 = 0x444D5231;  // "DMR1": legacy, unchecksummed
 constexpr uint32_t kMagicV2 = 0x444D5232;  // "DMR2": per-section CRC32
 constexpr uint32_t kVersionV2 = 2;
 
@@ -310,52 +309,6 @@ Status MetadataRepository::Save(FileSystem* fs, const std::string& path,
 
 namespace {
 
-/// Legacy v1 body (everything after magic+version): the exact field
-/// sequence the codec encoders use, with no checksums.
-Result<MetadataRepository> LoadV1Body(BinReader* r,
-                                      const std::string& path) {
-  MetadataRepository repo;
-  EventContext ctx;
-  DIEVENT_RETURN_NOT_OK(DecodeContext(r, &ctx));
-  repo.SetContext(std::move(ctx));
-  repo.set_fps(r->F64());
-
-  uint32_t n_look = r->U32();
-  for (uint32_t i = 0; i < n_look && r->ok(); ++i) {
-    LookAtRecord rec;
-    Status s = DecodeLookAt(r, &rec);
-    if (!s.ok()) {
-      return Status::Corruption(s.message() + " in " + path);
-    }
-    DIEVENT_RETURN_NOT_OK(repo.AddLookAt(std::move(rec)));
-  }
-  uint32_t n_emo = r->U32();
-  for (uint32_t i = 0; i < n_emo && r->ok(); ++i) {
-    EmotionRecord rec;
-    Status s = DecodeEmotion(r, &rec);
-    if (!s.ok()) {
-      return Status::Corruption(s.message() + " in " + path);
-    }
-    DIEVENT_RETURN_NOT_OK(repo.AddEmotion(rec));
-  }
-  uint32_t n_overall = r->U32();
-  for (uint32_t i = 0; i < n_overall && r->ok(); ++i) {
-    OverallEmotionRecord rec;
-    Status s = DecodeOverallEmotion(r, &rec);
-    if (!s.ok()) {
-      return Status::Corruption(s.message() + " in " + path);
-    }
-    DIEVENT_RETURN_NOT_OK(repo.AddOverallEmotion(rec));
-  }
-  std::vector<StoredShot> shots;
-  int num_scenes = 0;
-  Status s = DecodeShots(r, &shots, &num_scenes);
-  if (!s.ok()) return Status::Corruption(s.message() + " in " + path);
-  repo.SetStoredShots(std::move(shots), num_scenes);
-  if (!r->ok()) return Status::Corruption("truncated repository: " + path);
-  return repo;
-}
-
 /// Parses one v2 section payload into `repo`.
 Status ParseV2Section(uint8_t id, std::string_view payload,
                       MetadataRepository* repo) {
@@ -433,18 +386,7 @@ Result<MetadataRepository> MetadataRepository::Load(FileSystem* fs,
   DIEVENT_ASSIGN_OR_RETURN(std::string data, fs->ReadFile(path));
   BinReader r(data);
   const uint32_t magic = r.U32();
-  if (!r.ok()) {
-    return Status::Corruption("bad repository magic: " + path);
-  }
-
-  if (magic == kMagicV1) {
-    if (r.U32() != 1 || !r.ok()) {
-      return Status::Corruption("unsupported repository version: " + path);
-    }
-    if (info != nullptr) *info = SnapshotInfo{0, 1};
-    return LoadV1Body(&r, path);
-  }
-  if (magic != kMagicV2) {
+  if (!r.ok() || magic != kMagicV2) {
     return Status::Corruption("bad repository magic: " + path);
   }
 

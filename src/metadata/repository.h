@@ -100,9 +100,9 @@ class MetadataRepository {
   Status Save(FileSystem* fs, const std::string& path,
               uint64_t last_sequence) const;
 
-  /// Loads a snapshot, accepting both the legacy unchecksummed v1
-  /// format and checksummed v2. Any framing, checksum, or shape
-  /// violation returns a descriptive Corruption — never a partial or
+  /// Loads a version-2 snapshot. Any other magic (including the retired
+  /// unchecksummed "DMR1" format), and any framing, checksum, or shape
+  /// violation, returns a descriptive Corruption — never a partial or
   /// silently wrong repository.
   static Result<MetadataRepository> Load(const std::string& path);
   static Result<MetadataRepository> Load(FileSystem* fs,

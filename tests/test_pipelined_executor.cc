@@ -2,10 +2,14 @@
 // prefetch enabled, the pipeline must produce byte-identical reports and
 // repository contents to the sequential reference executor — on clean
 // runs, under injected faults, and on the failure path (a below-quorum
-// collapse must fail at the same frame with the same message).
+// collapse must fail at the same frame with the same message; a
+// cancellation must stop after the same frame and name the same one).
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/cancellation.h"
 #include "core/pipeline.h"
 #include "sim/scenario.h"
 
@@ -228,6 +232,44 @@ TEST(PipelinedExecutor, CollapseFailsAtTheSameFrameWithTheSameMessage) {
     EXPECT_EQ(pipelined.message(), sequential.message())
         << "threads=" << threads << " prefetch=" << prefetch;
   }
+}
+
+TEST(PipelinedExecutor, CancellationNamesTheFirstUncommittedFrame) {
+  // A cancel raised by the commit callback at frame 50 (stride 5) stops
+  // every setting after the same 11 committed frames, and the status
+  // names frame 55 — the first uncommitted frame, not the next frame the
+  // window would have admitted.
+  DiningScene scene = MakeMeetingScenario();
+  auto cancel_at_50 = [&](PipelineOptions opt, const std::string& label) {
+    opt.frame_stride = 5;
+    CancellationToken cancel;
+    opt.cancel = &cancel;
+    int committed = 0;
+    opt.on_frame_committed = [&](int frame, double) {
+      ++committed;
+      if (frame == 50) cancel.Cancel();
+    };
+    MetadataRepository repo;
+    auto report = DiEventPipeline(&scene, opt).Run(&repo);
+    ASSERT_FALSE(report.ok()) << label;
+    EXPECT_EQ(report.status().code(), StatusCode::kCancelled) << label;
+    EXPECT_EQ(report.status().message(), "run cancelled before frame 55")
+        << label;
+    EXPECT_EQ(committed, 11) << label;
+    EXPECT_EQ(repo.lookat_records().size(), 11u) << label;
+  };
+  for (auto [threads, prefetch] : {std::pair{1, 0}, std::pair{4, 0},
+                                   std::pair{1, 4}, std::pair{4, 4}}) {
+    PipelineOptions opt = BaseOptions();
+    opt.num_threads = threads;
+    opt.prefetch_depth = prefetch;
+    cancel_at_50(opt, "full vision threads=" + std::to_string(threads) +
+                          " prefetch=" + std::to_string(prefetch));
+  }
+  PipelineOptions truth;
+  truth.mode = PipelineMode::kGroundTruth;
+  truth.parse_video = false;
+  cancel_at_50(truth, "ground truth");
 }
 
 TEST(PipelinedExecutor, RejectsNegativePrefetchDepth) {

@@ -6,6 +6,8 @@
 
 #include <fstream>
 
+#include "metadata/record_codec.h"
+
 namespace dievent {
 namespace {
 
@@ -180,6 +182,33 @@ TEST(Repository, LoadRejectsCorruptFiles) {
             StatusCode::kCorruption);
   EXPECT_EQ(MetadataRepository::Load("/no/file").status().code(),
             StatusCode::kIoError);
+}
+
+TEST(Repository, LoadRejectsRetiredV1Snapshot) {
+  // A complete, well-formed file in the retired unchecksummed format:
+  // "DMR1" magic, version 1, then the bare record fields. Only version 2
+  // is readable; the old magic is rejected like any other.
+  std::string data;
+  BinWriter w(&data);
+  w.U32(0x444D5231);  // "DMR1"
+  w.U32(1);
+  EncodeContext(EventContext(), &data);
+  w.F64(10.0);
+  w.U32(0);  // look-at records
+  w.U32(0);  // emotion records
+  w.U32(0);  // overall-emotion records
+  EncodeShots({}, 0, &data);
+  std::string path = testing::TempDir() + "/v1.dmr";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  }
+  Result<MetadataRepository> loaded = MetadataRepository::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("bad repository magic"),
+            std::string::npos)
+      << loaded.status();
 }
 
 TEST(Repository, LoadRejectsTruncation) {
