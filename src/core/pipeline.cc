@@ -999,6 +999,8 @@ Result<DiEventReport> DiEventPipeline::Run(MetadataRepository* repository) {
   if (options_.prefetch_depth < 0) {
     return Status::InvalidArgument("prefetch_depth must be >= 0");
   }
+  DIEVENT_RETURN_NOT_OK(ValidateBinCount(
+      options_.parsing.shot.bins_per_channel, "parsing.shot.bins_per_channel"));
   // Resolve the camera subset (empty = the whole rig).
   std::vector<int> cameras = options_.camera_subset;
   if (cameras.empty()) {

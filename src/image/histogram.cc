@@ -1,8 +1,14 @@
 #include "image/histogram.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+
+#include "common/logging.h"
+#include "common/strings.h"
 
 namespace dievent {
 
@@ -16,10 +22,53 @@ void Normalize(Histogram* h) {
   }
 }
 
+int Log2(int power_of_two) {
+  return std::countr_zero(static_cast<unsigned>(power_of_two));
+}
+
+/// One channel value's soft split: its mass goes to flat bin offsets `lo`
+/// and `hi` (bin index times the channel's stride) with integer weights
+/// `w_lo + w_hi == q`, i.e. in units of 1/q where q = 2 * div.
+struct SoftSplit {
+  uint32_t lo, hi;
+  uint32_t w_lo, w_hi;
+};
+
+/// Value v sits at fractional bin position p = v/div - 0.5; its mass is
+/// split linearly between floor(p) and floor(p) + 1, with both bins clamped
+/// into [0, n). In units of 1/q, p is (2v - div)/q, so with the offset
+/// num = 2v + div = q * (floor(p) + 1) + w_hi every step is a nonnegative
+/// integer division.
+std::array<SoftSplit, 256> SoftSplitTable(int n, uint32_t stride) {
+  const int div = 256 / n, q = 2 * div;
+  std::array<SoftSplit, 256> lut;
+  for (int v = 0; v < 256; ++v) {
+    const int num = 2 * v + div;
+    const int lo = std::clamp(num / q - 1, 0, n - 1);
+    const int hi = std::min(n - 1, lo + 1);
+    lut[v] = SoftSplit{lo * stride, hi * stride,
+                       static_cast<uint32_t>(q - num % q),
+                       static_cast<uint32_t>(num % q)};
+  }
+  return lut;
+}
+
 }  // namespace
 
+bool IsValidBinCount(int bins) {
+  return bins >= 1 && bins <= 256 &&
+         std::has_single_bit(static_cast<unsigned>(bins));
+}
+
+Status ValidateBinCount(int bins, const char* option) {
+  if (IsValidBinCount(bins)) return Status::OK();
+  return Status::InvalidArgument(StrFormat(
+      "%s must be a power of two in [1, 256], got %d", option, bins));
+}
+
 Histogram ComputeGrayHistogram(const ImageU8& gray, int num_bins) {
-  assert(gray.channels() == 1 && num_bins > 0 && num_bins <= 256);
+  DIEVENT_CHECK(gray.channels() == 1 && IsValidBinCount(num_bins))
+      << "num_bins " << num_bins;
   Histogram h;
   h.bins.assign(num_bins, 0.0);
   const int shift = 256 / num_bins;
@@ -30,51 +79,58 @@ Histogram ComputeGrayHistogram(const ImageU8& gray, int num_bins) {
 
 Histogram ComputeColorHistogram(const ImageRgb& rgb, int bins_per_channel,
                                 bool soft_binning) {
-  assert(rgb.channels() == 3 && bins_per_channel > 0 &&
-         bins_per_channel <= 256);
-  Histogram h;
+  DIEVENT_CHECK(rgb.channels() == 3 && IsValidBinCount(bins_per_channel))
+      << "bins_per_channel " << bins_per_channel;
   const int n = bins_per_channel;
-  h.bins.assign(static_cast<size_t>(n) * n * n, 0.0);
-  const int div = 256 / n;
-  const auto& d = rgb.data();
+  // One integer accumulator for both modes: plain counts (hard) or weight
+  // products in units of q^-3 (soft). Bin (r, g, b) is (r * n + g) * n + b.
+  std::vector<uint64_t> acc(static_cast<size_t>(n) * n * n, 0);
+  const uint8_t* p = rgb.data().data();
+  const uint8_t* const end = p + rgb.data().size() / 3 * 3;
+  double unit = 1.0;
   if (!soft_binning) {
-    for (size_t i = 0; i + 2 < d.size(); i += 3) {
-      int r = d[i] / div, g = d[i + 1] / div, b = d[i + 2] / div;
-      h.bins[(static_cast<size_t>(r) * n + g) * n + b] += 1.0;
+    const int s = Log2(n), shift = Log2(256 / n);
+    for (; p != end; p += 3) {
+      ++acc[((p[0] >> shift) << (2 * s)) | ((p[1] >> shift) << s) |
+            (p[2] >> shift)];
     }
   } else {
-    // Per-channel: value v sits at fractional bin position v/div - 0.5;
-    // its mass is linearly split between floor and floor+1 (clamped).
-    auto split = [&](uint8_t v, int* lo, double* w_hi) {
-      double p = static_cast<double>(v) / div - 0.5;
-      double fl = std::floor(p);
-      *w_hi = p - fl;
-      *lo = std::clamp(static_cast<int>(fl), 0, n - 1);
-    };
-    for (size_t i = 0; i + 2 < d.size(); i += 3) {
-      int r0, g0, b0;
-      double rw, gw, bw;
-      split(d[i], &r0, &rw);
-      split(d[i + 1], &g0, &gw);
-      split(d[i + 2], &b0, &bw);
-      for (int dr = 0; dr < 2; ++dr) {
-        int r = std::min(n - 1, r0 + dr);
-        double wr = dr ? rw : 1.0 - rw;
-        if (wr == 0.0) continue;
-        for (int dg = 0; dg < 2; ++dg) {
-          int g = std::min(n - 1, g0 + dg);
-          double wg = dg ? gw : 1.0 - gw;
-          if (wg == 0.0) continue;
-          for (int db = 0; db < 2; ++db) {
-            int b = std::min(n - 1, b0 + db);
-            double wb = db ? bw : 1.0 - bw;
-            if (wb == 0.0) continue;
-            h.bins[(static_cast<size_t>(r) * n + g) * n + b] +=
-                wr * wg * wb;
-          }
-        }
+    // Red and green split per pixel; blue splits after the scan. Blue's
+    // weights depend only on its value, so the pixels of one (red, green)
+    // corner bin and blue value can be summed first and split once:
+    // sum_p w_rg(p) w_b(v_p) = sum_v w_b(v) * sum_{p : v_p = v} w_rg(p).
+    // That halves the per-pixel updates; integer sums make it exact.
+    const uint32_t nn = static_cast<uint32_t>(n);
+    const std::array<SoftSplit, 256> r_lut = SoftSplitTable(n, nn * 256);
+    const std::array<SoftSplit, 256> g_lut = SoftSplitTable(n, 256);
+    std::vector<uint64_t> rg_by_blue(static_cast<size_t>(n) * n * 256, 0);
+    for (; p != end; p += 3) {
+      const SoftSplit& r = r_lut[p[0]];
+      const SoftSplit& g = g_lut[p[1]];
+      uint64_t* const blue = rg_by_blue.data() + p[2];
+      // Weight products stay below q^2 <= 2^18.
+      blue[r.lo + g.lo] += r.w_lo * g.w_lo;
+      blue[r.lo + g.hi] += r.w_lo * g.w_hi;
+      blue[r.hi + g.lo] += r.w_hi * g.w_lo;
+      blue[r.hi + g.hi] += r.w_hi * g.w_hi;
+    }
+    const std::array<SoftSplit, 256> b_lut = SoftSplitTable(n, 1);
+    for (size_t rg = 0; rg < static_cast<size_t>(n) * n; ++rg) {
+      const uint64_t* const by_value = rg_by_blue.data() + rg * 256;
+      uint64_t* const bins = acc.data() + rg * n;
+      for (int v = 0; v < 256; ++v) {
+        const SoftSplit& b = b_lut[v];
+        bins[b.lo] += by_value[v] * b.w_lo;
+        bins[b.hi] += by_value[v] * b.w_hi;
       }
     }
+    const double q = 2.0 * (256 / n);
+    unit = 1.0 / (q * q * q);  // a power of two: the scaling is exact
+  }
+  Histogram h;
+  h.bins.resize(acc.size());
+  for (size_t i = 0; i < acc.size(); ++i) {
+    h.bins[i] = static_cast<double>(acc[i]) * unit;
   }
   Normalize(&h);
   return h;

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "common/status.h"
 #include "image/image.h"
 
 namespace dievent {
@@ -18,16 +19,36 @@ struct Histogram {
   int NumBins() const { return static_cast<int>(bins.size()); }
 };
 
+/// True when `bins` is a valid per-channel bin count: a power of two in
+/// [1, 256]. Every histogram below requires it. A power of two divides the
+/// 256 intensity levels evenly, so no value maps past the last bin, and it
+/// makes every soft-binning weight a dyadic fraction, which is what lets the
+/// color kernel accumulate exactly in fixed point.
+bool IsValidBinCount(int bins);
+
+/// OK when IsValidBinCount(bins); otherwise InvalidArgument naming `option`.
+/// For entry points that take a bin count from caller options.
+Status ValidateBinCount(int bins, const char* option);
+
 /// Grayscale histogram with `num_bins` equal-width bins over [0, 256).
+/// Requires IsValidBinCount(num_bins); aborts otherwise.
 Histogram ComputeGrayHistogram(const ImageU8& gray, int num_bins = 64);
 
 /// Joint color histogram with `bins_per_channel`^3 bins (coarse RGB cube).
-/// This is the frame signature used by shot-boundary detection.
+/// This is the frame signature used by shot-boundary detection and key-frame
+/// extraction. Requires a 3-channel image and
+/// IsValidBinCount(bins_per_channel); aborts otherwise.
 ///
 /// With `soft_binning`, each pixel's mass is split trilinearly between the
 /// two nearest bins per channel, so a smooth illumination ramp moves
 /// histogram mass gradually instead of jumping when a flat region crosses
 /// a bin edge (which would read as a spurious hard cut).
+///
+/// Both modes accumulate integers: plain counts, or trilinear weight
+/// products in units of q^-3, where q = 2 * 256 / bins_per_channel. Each bin
+/// is converted to double once, so the result is bit-identical to summing
+/// the products in double precision pixel by pixel, for any image of at most
+/// 2^53 / q^3 pixels (2^35 at 8 bins per channel; DESIGN.md §16).
 Histogram ComputeColorHistogram(const ImageRgb& rgb,
                                 int bins_per_channel = 8,
                                 bool soft_binning = false);

@@ -29,6 +29,8 @@ std::vector<int> ExtractKeyFrames(const std::vector<Histogram>& signatures,
 Result<std::vector<int>> ExtractKeyFrames(VideoSource* source,
                                           const Shot& shot,
                                           const KeyFrameOptions& options) {
+  DIEVENT_RETURN_NOT_OK(ValidateBinCount(options.bins_per_channel,
+                                         "key_frames.bins_per_channel"));
   if (shot.begin_frame < 0 || shot.end_frame > source->NumFrames()) {
     return Status::OutOfRange("shot exceeds source bounds");
   }

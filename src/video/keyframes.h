@@ -21,6 +21,8 @@ namespace dievent {
 struct KeyFrameOptions {
   /// Chi-square drift from the current key frame that triggers a new one.
   double drift_threshold = 0.08;
+  /// Signature bins per channel for the source overload; a power of two in
+  /// [1, 256] (IsValidBinCount).
   int bins_per_channel = 8;
   /// Hard cap per shot (0 = unlimited).
   int max_key_frames_per_shot = 0;

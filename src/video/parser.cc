@@ -8,6 +8,8 @@
 namespace dievent {
 
 Result<VideoStructure> VideoParser::Parse(VideoSource* source) const {
+  DIEVENT_RETURN_NOT_OK(ValidateBinCount(options_.shot.bins_per_channel,
+                                         "shot.bins_per_channel"));
   std::vector<Histogram> sigs;
   sigs.reserve(source->NumFrames());
   ShotBoundaryDetector detector(options_.shot);

@@ -12,6 +12,8 @@ Histogram ShotBoundaryDetector::Signature(const ImageRgb& frame) const {
 
 Result<std::vector<ShotBoundary>> ShotBoundaryDetector::Detect(
     VideoSource* source) const {
+  DIEVENT_RETURN_NOT_OK(
+      ValidateBinCount(options_.bins_per_channel, "shot.bins_per_channel"));
   std::vector<Histogram> sigs;
   sigs.reserve(source->NumFrames());
   for (int i = 0; i < source->NumFrames(); ++i) {

@@ -23,6 +23,8 @@ enum class HistogramMetric { kChiSquare, kL1 };
 enum class ThresholdMode { kAdaptive, kFixed };
 
 struct ShotDetectorOptions {
+  /// Signature bins per channel: a power of two in [1, 256]
+  /// (IsValidBinCount), which keeps the fixed-point signature exact.
   int bins_per_channel = 8;
   /// Trilinear soft binning: keeps smooth illumination ramps from jumping
   /// histogram bins (which a hard-binned signature reads as a cut).

@@ -2,10 +2,150 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
+#include "render/scene_renderer.h"
+#include "sim/scenario.h"
 
 namespace dievent {
 namespace {
+
+/// The color histogram as it was computed before the fixed-point kernel:
+/// counts and trilinear weight products summed in double precision, one
+/// pixel at a time. Kept verbatim as the oracle the kernel must match bit
+/// for bit.
+Histogram DoubleLoopColorHistogram(const ImageRgb& rgb, int bins_per_channel,
+                                   bool soft_binning) {
+  Histogram h;
+  const int n = bins_per_channel;
+  h.bins.assign(static_cast<size_t>(n) * n * n, 0.0);
+  const int div = 256 / n;
+  const auto& d = rgb.data();
+  if (!soft_binning) {
+    for (size_t i = 0; i + 2 < d.size(); i += 3) {
+      int r = d[i] / div, g = d[i + 1] / div, b = d[i + 2] / div;
+      h.bins[(static_cast<size_t>(r) * n + g) * n + b] += 1.0;
+    }
+  } else {
+    // Per-channel: value v sits at fractional bin position v/div - 0.5;
+    // its mass is linearly split between floor and floor+1 (clamped).
+    auto split = [&](uint8_t v, int* lo, double* w_hi) {
+      double p = static_cast<double>(v) / div - 0.5;
+      double fl = std::floor(p);
+      *w_hi = p - fl;
+      *lo = std::clamp(static_cast<int>(fl), 0, n - 1);
+    };
+    for (size_t i = 0; i + 2 < d.size(); i += 3) {
+      int r0, g0, b0;
+      double rw, gw, bw;
+      split(d[i], &r0, &rw);
+      split(d[i + 1], &g0, &gw);
+      split(d[i + 2], &b0, &bw);
+      for (int dr = 0; dr < 2; ++dr) {
+        int r = std::min(n - 1, r0 + dr);
+        double wr = dr ? rw : 1.0 - rw;
+        if (wr == 0.0) continue;
+        for (int dg = 0; dg < 2; ++dg) {
+          int g = std::min(n - 1, g0 + dg);
+          double wg = dg ? gw : 1.0 - gw;
+          if (wg == 0.0) continue;
+          for (int db = 0; db < 2; ++db) {
+            int b = std::min(n - 1, b0 + db);
+            double wb = db ? bw : 1.0 - bw;
+            if (wb == 0.0) continue;
+            h.bins[(static_cast<size_t>(r) * n + g) * n + b] +=
+                wr * wg * wb;
+          }
+        }
+      }
+    }
+  }
+  double total = 0.0;
+  for (double b : h.bins) total += b;
+  if (total > 0.0) {
+    for (double& b : h.bins) b /= total;
+  }
+  return h;
+}
+
+/// Asserts that the kernel matches the oracle bit for bit at every bin
+/// count and binning mode the issue names.
+void ExpectBitIdentical(const ImageRgb& img, const std::string& what) {
+  for (int bins : {2, 4, 8, 16}) {
+    for (bool soft : {false, true}) {
+      SCOPED_TRACE(what + " bins=" + std::to_string(bins) +
+                   (soft ? " soft" : " hard"));
+      const Histogram got = ComputeColorHistogram(img, bins, soft);
+      const Histogram want = DoubleLoopColorHistogram(img, bins, soft);
+      ASSERT_EQ(got.bins.size(), want.bins.size());
+      EXPECT_EQ(std::memcmp(got.bins.data(), want.bins.data(),
+                            got.bins.size() * sizeof(double)),
+                0);
+    }
+  }
+}
+
+TEST(ColorHistogramExactness, RenderedMeetingViewsMatchDoubleLoop) {
+  const DiningScene scene = MakeMeetingScenario();
+  for (double noise : {0.0, 6.0}) {
+    RenderOptions opt;
+    opt.noise_sigma = noise;
+    Rng rng(17);
+    for (double t : {0.0, 13.0, 31.0}) {
+      for (int cam = 0; cam < scene.rig().NumCameras(); ++cam) {
+        ExpectBitIdentical(
+            RenderViewAt(scene, t, cam, opt, noise > 0 ? &rng : nullptr),
+            "camera " + std::to_string(cam) + " t=" + std::to_string(t) +
+                " noise=" + std::to_string(noise));
+      }
+    }
+  }
+}
+
+TEST(ColorHistogramExactness, RandomOddSizedImagesMatchDoubleLoop) {
+  Rng rng(63);
+  for (auto [w, h] : {std::pair{1, 1}, {3, 7}, {17, 5}, {33, 31}, {127, 61}}) {
+    ImageRgb img(w, h, 3);
+    for (uint8_t& v : img.data()) v = static_cast<uint8_t>(rng.NextBelow(256));
+    ExpectBitIdentical(img, std::to_string(w) + "x" + std::to_string(h));
+  }
+}
+
+TEST(ColorHistogramExactness, SolidEdgeValuesAndEmptyImageMatchDoubleLoop) {
+  // 0 and 255 sit outside the first and last bin centres, where the split
+  // clamps; the empty image normalizes nothing.
+  for (uint8_t v : {uint8_t{0}, uint8_t{255}}) {
+    ImageRgb img(9, 4, 3);
+    img.Fill(v);
+    ExpectBitIdentical(img, "solid " + std::to_string(v));
+  }
+  const ImageRgb empty(0, 0, 3);
+  ExpectBitIdentical(empty, "0x0");
+  EXPECT_EQ(ComputeColorHistogram(empty, 8, true).NumBins(), 512);
+}
+
+TEST(HistogramBinCount, PowersOfTwoUpTo256AreValid) {
+  for (int bins = 1; bins <= 256; bins *= 2) EXPECT_TRUE(IsValidBinCount(bins));
+  for (int bins : {-4, 0, 3, 5, 6, 7, 12, 255, 257, 512}) {
+    EXPECT_FALSE(IsValidBinCount(bins)) << bins;
+  }
+}
+
+TEST(HistogramBinCountDeathTest, NonPowerOfTwoAbortsInsteadOfOverrunning) {
+  // 3 bins means div = 85, and 255 / 85 == 3 would index past the last bin.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ImageRgb rgb(2, 2, 3);
+  rgb.Fill(255);
+  EXPECT_DEATH(ComputeColorHistogram(rgb, 3), "bins_per_channel 3");
+  ImageU8 gray(2, 2);
+  gray.Fill(255);
+  EXPECT_DEATH(ComputeGrayHistogram(gray, 3), "num_bins 3");
+}
 
 TEST(GrayHistogram, NormalizedAndBinned) {
   ImageU8 img(10, 10);

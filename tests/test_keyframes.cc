@@ -69,6 +69,15 @@ TEST(KeyFrames, DegenerateShotsYieldNothing) {
   EXPECT_TRUE(ExtractKeyFrames(sigs, Shot{0, 10, {}}, {}).empty());
 }
 
+TEST(KeyFrames, SourceOverloadRejectsNonPowerOfTwoBins) {
+  std::vector<ImageRgb> frames(4, ImageRgb(8, 8, 3));
+  MemoryVideoSource src(std::move(frames), 10.0);
+  KeyFrameOptions opt;
+  opt.bins_per_channel = 6;
+  auto keys = ExtractKeyFrames(&src, Shot{0, 4, {}}, opt);
+  EXPECT_EQ(keys.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(KeyFrames, SourceOverloadChecksBounds) {
   std::vector<ImageRgb> frames(4, ImageRgb(8, 8, 3));
   MemoryVideoSource src(std::move(frames), 10.0);

@@ -165,6 +165,25 @@ TEST(PipelineFullVision, RejectsUnknownCameraSubset) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(PipelineFullVision, RejectsSignatureBinCountsThatAreNotPowersOfTwo) {
+  // 256 / 3 and 256 / 6 leave a remainder, so hard binning would index
+  // past the last bin; Run refuses them before touching the repository.
+  DiningScene scene = MakeMeetingScenario();
+  for (int bins : {3, 6}) {
+    PipelineOptions opt = FastVisionOptions();
+    opt.parse_video = true;
+    opt.parsing.shot.bins_per_channel = bins;
+    MetadataRepository repo;
+    auto report = DiEventPipeline(&scene, opt).Run(&repo);
+    ASSERT_FALSE(report.ok()) << bins;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(report.status().message().find("parsing.shot.bins_per_channel"),
+              std::string::npos)
+        << report.status().ToString();
+    EXPECT_EQ(repo.TotalRecords(), 0u);
+  }
+}
+
 TEST(PipelineReport, SummaryStringMentionsDominance) {
   DiningScene scene = MakeMeetingScenario();
   PipelineOptions opt;

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "sim/scenario.h"
+#include "video/parser.h"
 #include "video/synthetic_source.h"
 
 namespace dievent {
@@ -43,6 +44,18 @@ TEST(ShotDetection, FindsHardCuts) {
   ASSERT_EQ(cuts.value().size(), 2u);
   EXPECT_EQ(cuts.value()[0].frame, 30);
   EXPECT_EQ(cuts.value()[1].frame, 55);
+}
+
+TEST(ShotDetection, SourceDetectRejectsNonPowerOfTwoBins) {
+  auto src = MakeCutVideo({{4, Rgb{90, 90, 90}}}, 0.0, 9);
+  ShotDetectorOptions opt;
+  opt.bins_per_channel = 5;
+  EXPECT_EQ(ShotBoundaryDetector(opt).Detect(&src).status().code(),
+            StatusCode::kInvalidArgument);
+  VideoParserOptions parsing;
+  parsing.shot.bins_per_channel = 7;
+  EXPECT_EQ(VideoParser(parsing).Parse(&src).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ShotDetection, QuietVideoHasNoCuts) {
