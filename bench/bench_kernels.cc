@@ -17,11 +17,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/simd.h"
+#include "perf_smoke.h"
 
 namespace dievent {
 namespace {
@@ -251,31 +251,31 @@ int RunPerfSmoke(const std::string& path) {
     if (gated && speedup < kernel.floor) pass = false;
   }
 
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"benchmark\": \"kernels_smoke\",\n"
-      << "  \"backend\": \"" << simd::ActiveBackend() << "\",\n"
-      << "  \"frame\": \"" << kFrameW << "x" << kFrameH << "\",\n"
-      << "  \"matvec_shape\": \"" << kMatVecIn << "->" << kMatVecOut
-      << "\",\n"
-      << "  \"kernels\": {\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    out << "    \"" << r.name << "\": {\"scalar_ms\": " << r.scalar_ms
-        << ", \"simd_ms\": " << r.simd_ms << ", \"speedup\": " << r.speedup
-        << ", \"floor\": " << r.floor << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
+  bench::JsonWriter json;
+  json.Add("benchmark", "kernels_smoke")
+      .Add("backend", simd::ActiveBackend())
+      .Add("frame", std::to_string(kFrameW) + "x" + std::to_string(kFrameH))
+      .Add("matvec_shape",
+           std::to_string(kMatVecIn) + "->" + std::to_string(kMatVecOut))
+      .Begin("kernels");
+  for (const Row& r : rows) {
+    json.Begin(r.name)
+        .Add("scalar_ms", r.scalar_ms)
+        .Add("simd_ms", r.simd_ms)
+        .Add("speedup", r.speedup)
+        .Add("floor", r.floor)
+        .End();
   }
-  out << "  },\n"
-      << "  \"gated\": " << (gated ? "true" : "false") << ",\n"
-      << "  \"pass\": " << (pass ? "true" : "false") << ",\n"
-      << "  \"note\": \"scalar/simd ms per work batch, best of 3; outputs "
-         "are bit-identical across backends (simd::SelfCheck + "
-         "test_simd_kernels); floors apply per kernel and only when a "
-         "vectorized backend is compiled in (integral_row is memory-"
-         "bandwidth-bound, hence its lower floor)\"\n"
-      << "}\n";
-  out.close();
+  json.End()
+      .Add("gated", gated)
+      .Add("pass", pass)
+      .Add("note",
+           "scalar/simd ms per work batch, best of 3; outputs are "
+           "bit-identical across backends (simd::SelfCheck + "
+           "test_simd_kernels); floors apply per kernel and only when a "
+           "vectorized backend is compiled in (integral_row is memory-"
+           "bandwidth-bound, hence its lower floor)");
+  if (!json.WriteFile(path)) return 2;
 
   for (const Row& r : rows) {
     std::printf(
@@ -295,12 +295,8 @@ int RunPerfSmoke(const std::string& path) {
 }  // namespace dievent
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string flag = "--perf_smoke=";
-    if (arg.rfind(flag, 0) == 0) {
-      return dievent::RunPerfSmoke(arg.substr(flag.size()));
-    }
+  if (auto path = dievent::bench::PerfSmokePath(argc, argv)) {
+    return dievent::RunPerfSmoke(*path);
   }
   for (const dievent::Kernel& kernel : dievent::kKernels) {
     benchmark::RegisterBenchmark(

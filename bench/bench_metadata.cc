@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +25,7 @@
 #include "metadata/query.h"
 #include "metadata/query_parser.h"
 #include "metadata/repository.h"
+#include "perf_smoke.h"
 
 namespace dievent {
 namespace {
@@ -660,33 +660,30 @@ int RunPerfSmoke(const std::string& path) {
   const double floor = 1.5;
   const bool pass = identical && speedup >= floor;
 
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"benchmark\": \"metadata_corpus_smoke\",\n"
-      << "  \"events\": " << kEvents << ",\n"
-      << "  \"frames_per_event\": " << kFrames << ",\n"
-      << "  \"records\": " << records << ",\n"
-      << "  \"batch_ingest_rps\": " << batch_rps << ",\n"
-      << "  \"single_ingest_rps\": " << single_rps << ",\n"
-      << "  \"batch_ingest_speedup\": " << batch_rps / single_rps << ",\n"
-      << "  \"query\": \"" << FormatCorpusQuery(spec) << "\",\n"
-      << "  \"shards_in_scope\": " << pruned.result.shards_in_scope << ",\n"
-      << "  \"shards_pruned\": " << pruned.result.shards_pruned << ",\n"
-      << "  \"shards_opened\": " << pruned.result.shards_opened << ",\n"
-      << "  \"matched_frames\": " << pruned.result.total_frames << ",\n"
-      << "  \"pruned_ms\": " << pruned.wall_s * 1e3 << ",\n"
-      << "  \"open_all_ms\": " << open_all_s * 1e3 << ",\n"
-      << "  \"speedup\": " << speedup << ",\n"
-      << "  \"speedup_floor\": " << floor << ",\n"
-      << "  \"results_identical\": " << (identical ? "true" : "false")
-      << ",\n"
-      << "  \"pass\": " << (pass ? "true" : "false") << ",\n"
-      << "  \"note\": \"pruned = manifest time/participant bounds skip "
-         "shards before opening them; open_all = load + evaluate every "
-         "in-scope shard. Both must return bit-identical frame "
-         "matches.\"\n"
-      << "}\n";
-  out.close();
+  bench::JsonWriter json;
+  json.Add("benchmark", "metadata_corpus_smoke")
+      .Add("events", kEvents)
+      .Add("frames_per_event", kFrames)
+      .Add("records", records)
+      .Add("batch_ingest_rps", batch_rps)
+      .Add("single_ingest_rps", single_rps)
+      .Add("batch_ingest_speedup", batch_rps / single_rps)
+      .Add("query", FormatCorpusQuery(spec))
+      .Add("shards_in_scope", pruned.result.shards_in_scope)
+      .Add("shards_pruned", pruned.result.shards_pruned)
+      .Add("shards_opened", pruned.result.shards_opened)
+      .Add("matched_frames", pruned.result.total_frames)
+      .Add("pruned_ms", pruned.wall_s * 1e3)
+      .Add("open_all_ms", open_all_s * 1e3)
+      .Add("speedup", speedup)
+      .Add("speedup_floor", floor)
+      .Add("results_identical", identical)
+      .Add("pass", pass)
+      .Add("note",
+           "pruned = manifest time/participant bounds skip shards before "
+           "opening them; open_all = load + evaluate every in-scope shard. "
+           "Both must return bit-identical frame matches.");
+  if (!json.WriteFile(path)) return 2;
   std::printf(
       "perf_smoke: pruned %.2f ms vs open-all %.2f ms (%.1fx, floor "
       "%.1fx), %llu/%d shards pruned, results %s -> %s\n",
@@ -700,12 +697,8 @@ int RunPerfSmoke(const std::string& path) {
 }  // namespace dievent
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string flag = "--perf_smoke=";
-    if (arg.rfind(flag, 0) == 0) {
-      return dievent::RunPerfSmoke(arg.substr(flag.size()));
-    }
+  if (auto path = dievent::bench::PerfSmokePath(argc, argv)) {
+    return dievent::RunPerfSmoke(*path);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

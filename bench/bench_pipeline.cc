@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 
@@ -18,6 +17,7 @@
 #include "core/pipeline.h"
 #include "metadata/repository.h"
 #include "ml/face_recognizer.h"
+#include "perf_smoke.h"
 #include "sim/scenario.h"
 #include "video/shot_detection.h"
 #include "vision/face_analyzer.h"
@@ -277,34 +277,31 @@ int RunPerfSmoke(const std::string& path) {
   // time. Worker-stage seconds are summed across threads, so occupancy
   // above 1.0 means genuine overlap.
   auto occupancy = [&](double stage_s) { return stage_s / pipe.wall_s; };
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"benchmark\": \"pipeline_executor_smoke\",\n"
-      << "  \"frames\": " << seq.frames << ",\n"
-      << "  \"hardware_concurrency\": " << cores << ",\n"
-      << "  \"sequential_fps\": " << seq.fps << ",\n"
-      << "  \"pipelined_fps\": " << pipe.fps << ",\n"
-      << "  \"speedup\": " << speedup << ",\n"
-      << "  \"throughput_floor\": " << floor << ",\n"
-      << "  \"sequential_signature_ms_per_frame\": " << signature_ms << ",\n"
-      << "  \"sequential_signature_share\": " << signature_share << ",\n"
-      << "  \"signature_share_ceiling\": " << kSignatureShareCeiling << ",\n"
-      << "  \"pass\": " << (pass ? "true" : "false") << ",\n"
-      << "  \"pipelined_stage_occupancy\": {\n"
-      << "    \"acquisition\": " << occupancy(pipe.timings.acquisition)
-      << ",\n"
-      << "    \"detection\": " << occupancy(pipe.timings.detection) << ",\n"
-      << "    \"eye_contact\": " << occupancy(pipe.timings.eye_contact)
-      << ",\n"
-      << "    \"parsing\": " << occupancy(pipe.timings.parsing) << ",\n"
-      << "    \"storage\": " << occupancy(pipe.timings.storage) << "\n"
-      << "  },\n"
-      << "  \"note\": \"floor is 1.0x on multi-core hosts (1.4-1.9x "
-         "measured on 4 cores), 0.8x on a single core where overlap cannot "
-         "help CPU-bound stages; the sequential signature share must stay "
-         "at or below its ceiling\"\n"
-      << "}\n";
-  out.close();
+  bench::JsonWriter json;
+  json.Add("benchmark", "pipeline_executor_smoke")
+      .Add("frames", seq.frames)
+      .Add("hardware_concurrency", cores)
+      .Add("sequential_fps", seq.fps)
+      .Add("pipelined_fps", pipe.fps)
+      .Add("speedup", speedup)
+      .Add("throughput_floor", floor)
+      .Add("sequential_signature_ms_per_frame", signature_ms)
+      .Add("sequential_signature_share", signature_share)
+      .Add("signature_share_ceiling", kSignatureShareCeiling)
+      .Add("pass", pass)
+      .Begin("pipelined_stage_occupancy")
+      .Add("acquisition", occupancy(pipe.timings.acquisition))
+      .Add("detection", occupancy(pipe.timings.detection))
+      .Add("eye_contact", occupancy(pipe.timings.eye_contact))
+      .Add("parsing", occupancy(pipe.timings.parsing))
+      .Add("storage", occupancy(pipe.timings.storage))
+      .End()
+      .Add("note",
+           "floor is 1.0x on multi-core hosts (1.4-1.9x measured on 4 "
+           "cores), 0.8x on a single core where overlap cannot help "
+           "CPU-bound stages; the sequential signature share must stay at "
+           "or below its ceiling");
+  if (!json.WriteFile(path)) return 2;
   std::printf(
       "perf_smoke: seq %.2f fps, pipelined %.2f fps (%.2fx, floor %.1fx "
       "on %u cores); seq signature %.2f ms/frame = %.2f of wall (ceiling "
@@ -318,12 +315,8 @@ int RunPerfSmoke(const std::string& path) {
 }  // namespace dievent
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string flag = "--perf_smoke=";
-    if (arg.rfind(flag, 0) == 0) {
-      return dievent::RunPerfSmoke(arg.substr(flag.size()));
-    }
+  if (auto path = dievent::bench::PerfSmokePath(argc, argv)) {
+    return dievent::RunPerfSmoke(*path);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

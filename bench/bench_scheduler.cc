@@ -9,13 +9,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/mpmc_queue.h"
 #include "fleet/scheduler.h"
+#include "perf_smoke.h"
 #include "sim/scenario.h"
 
 namespace dievent {
@@ -175,31 +175,29 @@ int RunPerfSmoke(const std::string& path) {
       shed_stats.shed == 8 && shed_stats.completed == 8;
   const bool pass = speedup >= floor && shed_ok;
 
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"benchmark\": \"fleet_scheduler_smoke\",\n"
-      << "  \"jobs\": " << kSmokeJobs << ",\n"
-      << "  \"frames_per_job\": " << JobScene().num_frames() << ",\n"
-      << "  \"hardware_concurrency\": " << cores << ",\n"
-      << "  \"runners\": " << m << ",\n"
-      << "  \"serial_fps\": " << serial_fps << ",\n"
-      << "  \"fleet_fps\": " << fleet_fps << ",\n"
-      << "  \"speedup\": " << speedup << ",\n"
-      << "  \"throughput_floor\": " << floor << ",\n"
-      << "  \"shed_drill\": {\n"
-      << "    \"submitted\": " << shed_stats.submitted << ",\n"
-      << "    \"completed\": " << shed_stats.completed << ",\n"
-      << "    \"shed\": " << shed_stats.shed << ",\n"
-      << "    \"shed_rate\": "
-      << static_cast<double>(shed_stats.shed) / shed_stats.submitted
-      << "\n"
-      << "  },\n"
-      << "  \"pass\": " << (pass ? "true" : "false") << ",\n"
-      << "  \"note\": \"floor is 1.0x on multi-core hosts (independent "
-         "tenants should scale with runners), 0.8x on a single core; "
-         "the shed drill must reject exactly the low-priority burst\"\n"
-      << "}\n";
-  out.close();
+  bench::JsonWriter json;
+  json.Add("benchmark", "fleet_scheduler_smoke")
+      .Add("jobs", kSmokeJobs)
+      .Add("frames_per_job", JobScene().num_frames())
+      .Add("hardware_concurrency", cores)
+      .Add("runners", m)
+      .Add("serial_fps", serial_fps)
+      .Add("fleet_fps", fleet_fps)
+      .Add("speedup", speedup)
+      .Add("throughput_floor", floor)
+      .Begin("shed_drill")
+      .Add("submitted", shed_stats.submitted)
+      .Add("completed", shed_stats.completed)
+      .Add("shed", shed_stats.shed)
+      .Add("shed_rate",
+           static_cast<double>(shed_stats.shed) / shed_stats.submitted)
+      .End()
+      .Add("pass", pass)
+      .Add("note",
+           "floor is 1.0x on multi-core hosts (independent tenants should "
+           "scale with runners), 0.8x on a single core; the shed drill must "
+           "reject exactly the low-priority burst");
+  if (!json.WriteFile(path)) return 2;
   std::printf(
       "perf_smoke: serial %.1f fps, %d runners %.1f fps (%.2fx, floor "
       "%.1fx on %u cores), shed %d/%d low -> %s\n",
@@ -212,12 +210,8 @@ int RunPerfSmoke(const std::string& path) {
 }  // namespace dievent
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string flag = "--perf_smoke=";
-    if (arg.rfind(flag, 0) == 0) {
-      return dievent::RunPerfSmoke(arg.substr(flag.size()));
-    }
+  if (auto path = dievent::bench::PerfSmokePath(argc, argv)) {
+    return dievent::RunPerfSmoke(*path);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

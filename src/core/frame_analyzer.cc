@@ -86,25 +86,14 @@ Result<FrameAnalysis> FrameAnalyzer::Analyze(
 CameraVision FrameAnalyzer::AnalyzeCameraStateless(
     int camera_slot, const ImageRgb& frame,
     CameraFrameQuality quality) const {
-  // Pool workers and the pipelined executor call this concurrently; the
-  // implicit scratch (detector arena + embedding buffer) is per thread.
-  thread_local CameraAnalysisScratch scratch;
-  return AnalyzeCameraStateless(camera_slot, frame, quality, &scratch);
-}
-
-CameraVision FrameAnalyzer::AnalyzeCameraStateless(
-    int camera_slot, const ImageRgb& frame, CameraFrameQuality quality,
-    CameraAnalysisScratch* scratch) const {
   CameraVision out;
   if (quality == CameraFrameQuality::kAbsent) return out;
   const int rig_camera = cameras_[camera_slot];
-  out.obs = analyzer_.Analyze(rig_->camera(rig_camera), rig_camera, frame,
-                              &scratch->vision);
+  out.obs = analyzer_.Analyze(rig_->camera(rig_camera), rig_camera, frame);
   out.detections.reserve(out.obs.size());
   out.identities.reserve(out.obs.size());
   for (auto& o : out.obs) {
-    IdentityMatch m =
-        recognizer_.Recognize(frame, o.detection, &scratch->embedding);
+    IdentityMatch m = recognizer_.Recognize(frame, o.detection);
     o.identity = m.id;
     o.identity_confidence = m.confidence;
     o.stale = quality == CameraFrameQuality::kStale;

@@ -66,14 +66,6 @@ struct CameraVision {
   std::vector<int> identities;
 };
 
-/// Per-worker scratch for AnalyzeCameraStateless: the detector's per-frame
-/// bump arena (reset at the top of every frame) plus the recognizer's
-/// embedding vector. One per thread; never shared across concurrent calls.
-struct CameraAnalysisScratch {
-  FaceAnalyzerScratch vision;
-  std::vector<double> embedding;
-};
-
 class FrameAnalyzer {
  public:
   /// `rig` must outlive the analyzer. `cameras` selects active rig
@@ -104,13 +96,6 @@ class FrameAnalyzer {
   /// by CommitFrame. `camera_slot` indexes the active camera list.
   CameraVision AnalyzeCameraStateless(int camera_slot, const ImageRgb& frame,
                                       CameraFrameQuality quality) const;
-
-  /// As above with caller-owned scratch. All per-frame buffers (masks,
-  /// labels, feature vectors) live on the scratch's arena or reuse its
-  /// capacity, so steady-state frames allocate nothing.
-  CameraVision AnalyzeCameraStateless(int camera_slot, const ImageRgb& frame,
-                                      CameraFrameQuality quality,
-                                      CameraAnalysisScratch* scratch) const;
 
   /// The order-dependent half: advances each camera's tracker, backfills
   /// identities from tracks, fuses across cameras, and computes the

@@ -52,16 +52,20 @@ EventContext ContextFromScene(const DiningScene& scene) {
   return ctx;
 }
 
-/// Square crop around a detection matching the training-crop geometry
-/// (face radius = 0.46 * crop size). Writes into `*out` so hot loops can
-/// reuse one crop buffer instead of allocating per face.
-void CropFaceInto(const ImageRgb& frame, const FaceDetection& det,
-                  ImageRgb* out) {
+/// Emotion of one detected face: a square crop matching the training-crop
+/// geometry (face radius = 0.46 * crop size), classified by `recognizer`.
+/// The speculating vision tasks and the commit both predict through here;
+/// the crop buffer is per thread, so no call allocates one.
+EmotionPrediction PredictEmotion(const EmotionRecognizer& recognizer,
+                                 const ImageRgb& frame,
+                                 const FaceDetection& det) {
+  thread_local ImageRgb crop;
   double half = det.radius_px / 0.92;
   int size = std::max(8, static_cast<int>(2.0 * half));
   int x0 = static_cast<int>(det.center_px.x - half);
   int y0 = static_cast<int>(det.center_px.y - half);
-  frame.CropInto(x0, y0, size, size, out);
+  frame.CropInto(x0, y0, size, size, &crop);
+  return recognizer.Recognize(crop);
 }
 
 }  // namespace
@@ -687,29 +691,27 @@ class PipelineRun {
   /// the commit can select, since the tracker backfill there only changes
   /// identities, never geometry.
   void RunVision(FrameWork& w, int c, bool speculate) {
-    const VirtualClock::TimePoint start = clock_->Now();
-    w.vision[c] = engine_->AnalyzeCameraStateless(c, w.frames[c], w.quality[c]);
-    const VirtualClock::TimePoint mid = clock_->Now();
-    w.vision_seconds[c] = VirtualClock::ToSeconds(mid - start);
+    {
+      StageTimer timer(clock_, &w.vision_seconds[c]);
+      w.vision[c] =
+          engine_->AnalyzeCameraStateless(c, w.frames[c], w.quality[c]);
+    }
     if (!speculate || !options_.analyze_emotions || recognizer_ == nullptr) {
       return;
     }
+    StageTimer timer(clock_, &w.emotion_seconds[c]);
     auto& cache = w.emotion_cache[c];
     cache.assign(w.vision[c].obs.size(), std::nullopt);
-    thread_local ImageRgb crop;
     for (size_t oi = 0; oi < w.vision[c].obs.size(); ++oi) {
       const FaceDetection& det = w.vision[c].obs[oi].detection;
       if (!det.front_facing || det.radius_px < 8.0) continue;
-      CropFaceInto(w.frames[c], det, &crop);
-      cache[oi] = recognizer_->Recognize(crop);
+      cache[oi] = PredictEmotion(*recognizer_, w.frames[c], det);
     }
-    w.emotion_seconds[c] = VirtualClock::ToSeconds(clock_->Now() - mid);
   }
 
   void RunSignature(FrameWork& w) {
-    const VirtualClock::TimePoint start = clock_->Now();
+    StageTimer timer(clock_, &w.signature_seconds);
     w.signature = signature_maker_.Signature(w.frames[w.parse_ref]);
-    w.signature_seconds = VirtualClock::ToSeconds(clock_->Now() - start);
   }
 
   /// Retires the head frame: its geometry and emotions (from vision or
@@ -830,8 +832,8 @@ class PipelineRun {
               w.emotion_cache[best_cam][best_idx].has_value()) {
             p = *w.emotion_cache[best_cam][best_idx];
           } else {
-            CropFaceInto(w.frames[best_cam], best->detection, &commit_crop_);
-            p = recognizer_->Recognize(commit_crop_);
+            p = PredictEmotion(*recognizer_, w.frames[best_cam],
+                               best->detection);
           }
           eo.emotion = p.emotion;
           eo.confidence = p.confidence;
@@ -980,7 +982,6 @@ class PipelineRun {
   AccuracyTally accuracy_;
   int consecutive_below_quorum_ = 0;
   int frames_since_checkpoint_ = 0;
-  ImageRgb commit_crop_;  ///< emotion crop scratch for the commit thread
 };
 
 }  // namespace

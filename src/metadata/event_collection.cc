@@ -1,7 +1,6 @@
 #include "metadata/event_collection.h"
 
 #include <algorithm>
-#include <filesystem>
 
 #include "common/strings.h"
 
@@ -42,34 +41,6 @@ EventStats ComputeEventStats(const MetadataRepository& repo) {
             : StrFormat("P%d", dom + 1);
   }
   return stats;
-}
-
-Result<int> EventCollection::LoadDirectory(const std::string& directory) {
-  std::error_code ec;
-  std::filesystem::directory_iterator it(directory, ec);
-  if (ec) {
-    return Status::IoError(
-        StrFormat("cannot list %s: %s", directory.c_str(),
-                  ec.message().c_str()));
-  }
-  int loaded = 0;
-  std::string failures;
-  for (const auto& entry : std::filesystem::directory_iterator(directory)) {
-    if (!entry.is_regular_file() || entry.path().extension() != ".dmr") {
-      continue;
-    }
-    auto repo = MetadataRepository::Load(entry.path().string());
-    if (!repo.ok()) {
-      failures += entry.path().filename().string() + " ";
-      continue;
-    }
-    Add(ComputeEventStats(repo.value()));
-    ++loaded;
-  }
-  if (loaded == 0 && !failures.empty()) {
-    return Status::Corruption("no loadable events; failed: " + failures);
-  }
-  return loaded;
 }
 
 std::vector<EventStats> EventCollection::RankedBySatisfaction() const {

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/result.h"
 #include "metadata/repository.h"
 
 namespace dievent {
@@ -39,12 +38,6 @@ class EventCollection {
  public:
   /// Adds an already-loaded event.
   void Add(EventStats stats) { events_.push_back(std::move(stats)); }
-
-  /// Loads every `*.dmr` repository in `directory` and adds its stats.
-  /// Returns the number of events loaded; files that fail to parse are
-  /// skipped (their paths are reported in the status message only if
-  /// *none* load).
-  Result<int> LoadDirectory(const std::string& directory);
 
   int NumEvents() const { return static_cast<int>(events_.size()); }
   const std::vector<EventStats>& events() const { return events_; }

@@ -36,14 +36,41 @@ ImageRgb RenderAugmentedEmotionCrop(Emotion emotion,
 
 namespace {
 
-/// Hellinger-transformed LBP features: the square root of each histogram
-/// bin. This (a) tames the dominant flat-texture bin that otherwise
-/// saturates the first layer and kills its ReLUs, and (b) leaves every
-/// grid cell with unit L2 norm, a well-conditioned input scale.
-std::vector<float> ScaledLbpFeatures(const ImageU8& gray, int grid) {
-  std::vector<float> f = LbpGridFeatures(gray, grid, grid);
-  for (float& v : f) v = std::sqrt(v);
-  return f;
+/// Workspace of one feature extraction plus forward pass: grayscale,
+/// resize and LBP-code images, the feature vector, and the network's
+/// activations. Capacity is reused across calls.
+struct EmotionScratch {
+  ImageU8 gray;
+  ImageU8 resized;
+  ImageU8 lbp_codes;
+  std::vector<float> features;
+  NeuralNet::ForwardScratch nn;
+};
+
+/// The classifier's input, for training and recognition alike:
+/// Hellinger-transformed uniform-LBP grid features of the crop, resized to
+/// crop_size first when needed. The Hellinger transform (square root of
+/// each histogram bin) (a) tames the dominant flat-texture bin that
+/// otherwise saturates the first layer and kills its ReLUs, and (b) leaves
+/// every grid cell with unit L2 norm, a well-conditioned input scale.
+/// Returns scratch->features.
+const std::vector<float>& ExtractFeatures(
+    const EmotionRecognizerOptions& options, const ImageRgb& face_crop,
+    EmotionScratch* scratch) {
+  // lint: hot-path-begin(emotion-features)
+  ToGrayInto(face_crop, &scratch->gray);
+  const ImageU8* gray = &scratch->gray;
+  if (gray->width() != options.crop_size ||
+      gray->height() != options.crop_size) {
+    ResizeBilinearInto(*gray, options.crop_size, options.crop_size,
+                       &scratch->resized);
+    gray = &scratch->resized;
+  }
+  LbpGridFeaturesInto(*gray, options.lbp_grid, options.lbp_grid,
+                      &scratch->lbp_codes, &scratch->features);
+  for (float& v : scratch->features) v = std::sqrt(v);
+  return scratch->features;
+  // lint: hot-path-end
 }
 
 std::vector<TrainSample> RenderDataset(
@@ -51,11 +78,12 @@ std::vector<TrainSample> RenderDataset(
     Rng* rng) {
   std::vector<TrainSample> samples;
   samples.reserve(static_cast<size_t>(samples_per_class) * kNumEmotions);
+  EmotionScratch scratch;
   for (Emotion e : kAllEmotions) {
     for (int s = 0; s < samples_per_class; ++s) {
       ImageRgb crop = RenderAugmentedEmotionCrop(e, options, rng);
       TrainSample sample;
-      sample.features = ScaledLbpFeatures(ToGray(crop), options.lbp_grid);
+      sample.features = ExtractFeatures(options, crop, &scratch);
       sample.label = static_cast<int>(e);
       samples.push_back(std::move(sample));
     }
@@ -102,45 +130,15 @@ Result<EmotionRecognizer> EmotionRecognizer::FromNetwork(
   return EmotionRecognizer(options, std::move(net));
 }
 
-std::vector<float> EmotionRecognizer::ExtractFeatures(
-    const ImageRgb& face_crop) const {
-  EmotionScratch scratch;
-  return ExtractFeatures(face_crop, &scratch);
-}
-
-const std::vector<float>& EmotionRecognizer::ExtractFeatures(
-    const ImageRgb& face_crop, EmotionScratch* scratch) const {
-  // lint: hot-path-begin(emotion-features)
-  ToGrayInto(face_crop, &scratch->gray);
-  const ImageU8* gray = &scratch->gray;
-  if (gray->width() != options_.crop_size ||
-      gray->height() != options_.crop_size) {
-    ResizeBilinearInto(*gray, options_.crop_size, options_.crop_size,
-                       &scratch->resized);
-    gray = &scratch->resized;
-  }
-  LbpGridFeaturesInto(*gray, options_.lbp_grid, options_.lbp_grid,
-                      &scratch->lbp_codes, &scratch->features);
-  // Hellinger transform (see ScaledLbpFeatures).
-  for (float& v : scratch->features) v = std::sqrt(v);
-  return scratch->features;
-  // lint: hot-path-end
-}
-
 EmotionPrediction EmotionRecognizer::Recognize(
     const ImageRgb& face_crop) const {
-  // One workspace per thread: Recognize is const and the pipelined
-  // executor calls it concurrently from pool workers, so the scratch
-  // cannot live on the recognizer itself.
+  // Recognize is const and the pipelined executor calls it concurrently
+  // from pool workers, so the workspace cannot live on the recognizer.
   thread_local EmotionScratch scratch;
-  return Recognize(face_crop, &scratch);
-}
-
-EmotionPrediction EmotionRecognizer::Recognize(const ImageRgb& face_crop,
-                                               EmotionScratch* scratch) const {
   EmotionPrediction pred;
   pred.class_probabilities =
-      net_.Predict(ExtractFeatures(face_crop, scratch), &scratch->nn);
+      net_.Predict(ExtractFeatures(options_, face_crop, &scratch),
+                   &scratch.nn);
   auto it = std::max_element(pred.class_probabilities.begin(),
                              pred.class_probabilities.end());
   pred.emotion = static_cast<Emotion>(

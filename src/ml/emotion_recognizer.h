@@ -38,17 +38,6 @@ struct EmotionPrediction {
   std::vector<float> class_probabilities;  ///< indexed by Emotion value
 };
 
-/// Per-worker scratch for Recognize: grayscale/resize/LBP-code images,
-/// the feature vector, and the network's forward workspace. Capacity is
-/// reused across frames; one scratch per thread.
-struct EmotionScratch {
-  ImageU8 gray;
-  ImageU8 resized;
-  ImageU8 lbp_codes;
-  std::vector<float> features;
-  NeuralNet::ForwardScratch nn;
-};
-
 class EmotionRecognizer {
  public:
   /// Trains a fresh recognizer on rendered expression crops.
@@ -61,19 +50,9 @@ class EmotionRecognizer {
       const EmotionRecognizerOptions& options, NeuralNet net);
 
   /// Classifies a face crop (any size or channel count; converted and
-  /// resized internally). Uses a thread-local scratch.
+  /// resized internally). Safe to call concurrently; the workspace is per
+  /// thread.
   EmotionPrediction Recognize(const ImageRgb& face_crop) const;
-
-  /// As above with caller-owned scratch (not thread-safe to share).
-  EmotionPrediction Recognize(const ImageRgb& face_crop,
-                              EmotionScratch* scratch) const;
-
-  /// Feature extraction used internally; exposed for tests and benches.
-  std::vector<float> ExtractFeatures(const ImageRgb& face_crop) const;
-
-  /// Scratch-reusing feature extraction; returns scratch->features.
-  const std::vector<float>& ExtractFeatures(const ImageRgb& face_crop,
-                                            EmotionScratch* scratch) const;
 
   /// Accuracy over a freshly-rendered, noise-perturbed evaluation set
   /// (disjoint noise realizations from training).

@@ -167,14 +167,11 @@ IdentityMatch FaceRecognizer::Recognize(
 
 IdentityMatch FaceRecognizer::Recognize(const ImageRgb& frame,
                                         const FaceDetection& det) const {
-  return Recognize(embedder_.Embed(frame, det));
-}
-
-IdentityMatch FaceRecognizer::Recognize(
-    const ImageRgb& frame, const FaceDetection& det,
-    std::vector<double>* embedding_scratch) const {
-  embedder_.EmbedInto(frame, det, embedding_scratch);
-  return Recognize(*embedding_scratch);
+  // One head per detection per frame, from concurrent vision tasks: the
+  // embedding's capacity is reused per thread.
+  thread_local std::vector<double> embedding;
+  embedder_.EmbedInto(frame, det, &embedding);
+  return Recognize(embedding);
 }
 
 }  // namespace dievent

@@ -64,15 +64,10 @@ class FaceRecognizer {
   /// Nearest-centroid classification with rejection.
   IdentityMatch Recognize(const std::vector<double>& embedding) const;
 
-  /// Convenience: embed + recognize.
+  /// Convenience: embed + recognize. Safe to call concurrently; the
+  /// embedding reuses a per-thread vector.
   IdentityMatch Recognize(const ImageRgb& frame,
                           const FaceDetection& detection) const;
-
-  /// As above with a caller-owned embedding scratch vector (overwritten,
-  /// capacity reused across frames).
-  IdentityMatch Recognize(const ImageRgb& frame,
-                          const FaceDetection& detection,
-                          std::vector<double>* embedding_scratch) const;
 
   int NumEnrolled() const { return static_cast<int>(centroids_.size()); }
 

@@ -5,15 +5,8 @@ namespace dievent {
 std::vector<FaceObservation> FaceAnalyzer::Analyze(
     const CameraModel& camera, int camera_index,
     const ImageRgb& frame) const {
-  thread_local FaceAnalyzerScratch scratch;
-  return Analyze(camera, camera_index, frame, &scratch);
-}
-
-std::vector<FaceObservation> FaceAnalyzer::Analyze(
-    const CameraModel& camera, int camera_index, const ImageRgb& frame,
-    FaceAnalyzerScratch* scratch) const {
   std::vector<FaceObservation> out;
-  for (const FaceDetection& det : detector_.Detect(frame, &scratch->detector)) {
+  for (const FaceDetection& det : detector_.Detect(frame)) {
     FaceObservation obs;
     obs.camera_index = camera_index;
     obs.detection = det;

@@ -22,12 +22,6 @@ struct FaceAnalyzerOptions {
   HeadPoseOptions head_pose;
 };
 
-/// Per-worker scratch for Analyze; owns the detector's per-frame arena.
-/// One per thread — the pipelined executor calls Analyze concurrently.
-struct FaceAnalyzerScratch {
-  FaceDetectorScratch detector;
-};
-
 class FaceAnalyzer {
  public:
   explicit FaceAnalyzer(FaceAnalyzerOptions options = {})
@@ -38,16 +32,10 @@ class FaceAnalyzer {
 
   /// Analyzes one frame from `camera`. Every detection yields an
   /// observation; `has_gaze` is set only for frontal faces with valid eye
-  /// landmarks. Uses a thread-local scratch.
+  /// landmarks. Safe to call concurrently.
   std::vector<FaceObservation> Analyze(const CameraModel& camera,
                                        int camera_index,
                                        const ImageRgb& frame) const;
-
-  /// As above with caller-owned scratch (not thread-safe to share).
-  std::vector<FaceObservation> Analyze(const CameraModel& camera,
-                                       int camera_index,
-                                       const ImageRgb& frame,
-                                       FaceAnalyzerScratch* scratch) const;
 
   const FaceDetector& detector() const { return detector_; }
 

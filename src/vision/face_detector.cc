@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/arena.h"
 #include "common/simd.h"
 #include "render/face_renderer.h"
 
@@ -110,17 +111,14 @@ std::vector<Component> FindComponents(const uint8_t* mask, int width,
 }  // namespace
 
 std::vector<FaceDetection> FaceDetector::Detect(const ImageRgb& frame) const {
-  // The pipelined executor runs Detect concurrently across cameras and
-  // frames; the implicit scratch is therefore per thread.
-  thread_local FaceDetectorScratch scratch;
-  return Detect(frame, &scratch);
-}
-
-std::vector<FaceDetection> FaceDetector::Detect(
-    const ImageRgb& frame, FaceDetectorScratch* scratch) const {
-  const int w = frame.width(), h = frame.height();
-  Arena& arena = scratch->arena;
+  // Every frame-sized buffer (color masks, component labels, flood-fill
+  // stack, chunk occupancy) is carved from this arena, reset on entry: zero
+  // heap allocations per frame once the block chain has warmed up. The
+  // pipelined executor runs Detect concurrently across cameras and frames,
+  // so the arena is per thread.
+  thread_local Arena arena;
   arena.Reset();
+  const int w = frame.width(), h = frame.height();
   // lint: hot-path-begin(face-detect)
   // Detections escape the frame (they flow into tracks and records); the
   // raw and suppressed lists are the only heap traffic left here.

@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "common/arena.h"
 #include "image/image.h"
 #include "vision/face_types.h"
 
@@ -39,26 +38,14 @@ struct FaceDetectorOptions {
   double nms_iou = 0.4;
 };
 
-/// Per-worker scratch for Detect: every frame-sized buffer (color masks,
-/// component labels, flood-fill stack, chunk occupancy) is carved from the
-/// arena, which Detect resets on entry — zero heap allocations per frame
-/// once the block chain has warmed up. One scratch per thread; Detect runs
-/// concurrently across pool workers in the pipelined executor.
-struct FaceDetectorScratch {
-  Arena arena;
-};
-
 class FaceDetector {
  public:
   explicit FaceDetector(FaceDetectorOptions options = {})
       : options_(options) {}
 
-  /// Finds all faces/heads in an RGB frame. Uses a thread-local scratch.
+  /// Finds all faces/heads in an RGB frame. Safe to call concurrently:
+  /// every frame-sized buffer lives on a per-thread arena.
   std::vector<FaceDetection> Detect(const ImageRgb& frame) const;
-
-  /// As above with caller-owned scratch (not thread-safe to share).
-  std::vector<FaceDetection> Detect(const ImageRgb& frame,
-                                    FaceDetectorScratch* scratch) const;
 
   const FaceDetectorOptions& options() const { return options_; }
 

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-
 #include "core/pipeline.h"
 #include "sim/scenario.h"
 
@@ -78,37 +75,6 @@ TEST(EventCollection, ComparisonTableListsAllEvents) {
   EXPECT_NE(table.find("tue"), std::string::npos);
   EXPECT_NE(table.find("wed"), std::string::npos);
   EXPECT_NE(table.find("dominant"), std::string::npos);
-}
-
-TEST(EventCollection, LoadDirectoryRoundTrip) {
-  std::string dir = testing::TempDir() + "/events";
-  std::filesystem::create_directories(dir);
-  ASSERT_TRUE(EventWithMood("e1", Emotion::kHappy, 40)
-                  .Save(dir + "/e1.dmr")
-                  .ok());
-  ASSERT_TRUE(
-      EventWithMood("e2", Emotion::kSad, 40).Save(dir + "/e2.dmr").ok());
-  // Non-.dmr and corrupt files must be skipped.
-  std::ofstream(dir + "/notes.txt") << "ignore me";
-  std::ofstream(dir + "/broken.dmr") << "not a repo";
-
-  EventCollection collection;
-  auto loaded = collection.LoadDirectory(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded.value(), 2);
-  EXPECT_EQ(collection.NumEvents(), 2);
-}
-
-TEST(EventCollection, LoadDirectoryErrors) {
-  EventCollection collection;
-  EXPECT_EQ(collection.LoadDirectory("/no/such/dir").status().code(),
-            StatusCode::kIoError);
-  // A directory with only corrupt .dmr files is a Corruption error.
-  std::string dir = testing::TempDir() + "/broken_events";
-  std::filesystem::create_directories(dir);
-  std::ofstream(dir + "/a.dmr") << "garbage";
-  EXPECT_EQ(collection.LoadDirectory(dir).status().code(),
-            StatusCode::kCorruption);
 }
 
 TEST(EventCollection, EndToEndWithPipeline) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "analysis/eye_contact.h"
 #include "core/pipeline.h"
 #include "image/histogram.h"
@@ -107,6 +109,13 @@ struct PipelineParam {
   double fps;
 };
 
+// ctest names value-parameterized tests by the printed parameter; without
+// a printer gtest dumps the struct's raw bytes, padding included, so the
+// names would change from one test discovery to the next.
+void PrintTo(const PipelineParam& p, std::ostream* os) {
+  *os << p.participants << "p_" << p.frames << "f_" << p.fps << "fps";
+}
+
 class PipelineProperties : public testing::TestWithParam<PipelineParam> {};
 
 TEST_P(PipelineProperties, RepositoryMatchesReport) {
@@ -169,6 +178,11 @@ struct HistogramParam {
   int bins;
   bool soft;
 };
+
+// Printed as e.g. `8_soft`; see PrintTo(PipelineParam) for why.
+void PrintTo(const HistogramParam& p, std::ostream* os) {
+  *os << p.bins << (p.soft ? "_soft" : "_hard");
+}
 
 class HistogramProperties
     : public testing::TestWithParam<HistogramParam> {};
