@@ -1,19 +1,16 @@
-// SCHED: fleet-scheduler throughput and overload behavior — MPMC
-// ready-queue handoff cost, fleet frames/sec as runner parallelism
-// grows, and the admission controller's shed decisions under a burst of
-// low-priority submissions.
+// SCHED: fleet-scheduler throughput and overload behavior — fleet
+// frames/sec as runner parallelism grows (runners take jobs straight
+// from the scheduler's pending list), and the admission controller's
+// shed decisions under a burst of low-priority submissions.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "common/mpmc_queue.h"
 #include "fleet/scheduler.h"
 #include "perf_smoke.h"
 #include "sim/scenario.h"
@@ -39,48 +36,6 @@ EventJobSpec InMemoryJob(const std::string& name,
   spec.pipeline.parse_video = false;
   return spec;
 }
-
-void BM_MpmcQueuePushPop(benchmark::State& state) {
-  MpmcQueue<int> q(64);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(q.TryPush(1));
-    benchmark::DoNotOptimize(q.TryPop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MpmcQueuePushPop)->Unit(benchmark::kNanosecond);
-
-/// Contended handoff: 2 producers and 2 consumers move a fixed batch
-/// through a small (depth-8) queue each iteration.
-void BM_MpmcQueueContended(benchmark::State& state) {
-  constexpr int kPerProducer = 4096;
-  for (auto _ : state) {
-    MpmcQueue<int> q(8);
-    std::vector<std::thread> threads;
-    for (int p = 0; p < 2; ++p) {
-      threads.emplace_back([&q] {
-        for (int i = 0; i < kPerProducer; ++i) {
-          benchmark::DoNotOptimize(q.Push(i));
-        }
-      });
-    }
-    long long drained = 0;
-    std::vector<std::thread> consumers;
-    std::deque<long long> counts(2, 0);
-    for (int c = 0; c < 2; ++c) {
-      consumers.emplace_back([&q, &counts, c] {
-        while (q.Pop().has_value()) ++counts[c];
-      });
-    }
-    for (auto& t : threads) t.join();
-    q.Close();
-    for (auto& t : consumers) t.join();
-    drained = counts[0] + counts[1];
-    benchmark::DoNotOptimize(drained);
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * kPerProducer);
-}
-BENCHMARK(BM_MpmcQueueContended)->Unit(benchmark::kMillisecond);
 
 /// Fleet throughput: 8 in-memory tenants drained by M runners.
 void BM_FleetThroughput(benchmark::State& state) {

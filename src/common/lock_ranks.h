@@ -64,11 +64,10 @@ enum class LockRank : int {
   kTaskGroup = 10,
   /// ThreadPool::mutex_ — pool queue; tasks run with it released.
   kThreadPool = 20,
-  /// EventScheduler::mu_ — fleet state; dispatch pushes to the ready
-  /// queue (kReadyQueue) and parks on the clock (kClockWaiters) under it.
+  /// EventScheduler::mu_ — fleet state and its one pending list; the
+  /// dispatcher and idle runners park on the clock (kClockWaiters) under
+  /// it.
   kFleetScheduler = 30,
-  /// MpmcQueue::mutex_ — the fleet ready queue; parks on the clock.
-  kReadyQueue = 40,
   /// EventCorpus::mu_ — shard manifest + repository cache. Never held
   /// across pool submits, store I/O, or TaskGroup::Wait; fleet job
   /// completion registers shards with no scheduler lock held, so the
@@ -104,7 +103,6 @@ inline const char* LockRankName(LockRank rank) {
     case LockRank::kTaskGroup: return "kTaskGroup";
     case LockRank::kThreadPool: return "kThreadPool";
     case LockRank::kFleetScheduler: return "kFleetScheduler";
-    case LockRank::kReadyQueue: return "kReadyQueue";
     case LockRank::kCorpus: return "kCorpus";
     case LockRank::kPrefetchPump: return "kPrefetchPump";
     case LockRank::kAcqReader: return "kAcqReader";

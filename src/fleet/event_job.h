@@ -45,8 +45,7 @@ std::string_view JobPriorityName(JobPriority priority);
 /// Scheduler lifecycle of a job.
 ///
 ///   kShed       rejected at admission (terminal)
-///   kPending    admitted, waiting to dispatch (or sitting in the ready
-///               queue)
+///   kPending    admitted, waiting for a free runner
 ///   kRunning    an attempt is executing on a runner
 ///   kBackoff    attempt failed; quarantined until its retry instant
 ///   kParked     error budget exhausted; quarantined permanently

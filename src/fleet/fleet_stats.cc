@@ -7,12 +7,11 @@ namespace dievent {
 std::string FleetStats::ToString() const {
   std::string out = StrFormat(
       "fleet: %d job(s) | %d completed, %d parked, %d shed, %d running, "
-      "%d waiting | frames %lld | latency q %.4fs (n=%lld) | ready q "
-      "high-water %zu/%zu | retries %lld, watchdog %d, deferred %d",
+      "%d waiting | frames %lld | latency q %.4fs (n=%lld) | retries "
+      "%lld, watchdog %d, deferred %d",
       submitted, completed, parked, shed, running, waiting,
       frames_committed, frame_latency_quantile_s, latency_samples,
-      ready_queue_max_depth, ready_queue_capacity, retries,
-      watchdog_interrupts, deferred_dispatches);
+      retries, watchdog_interrupts, deferred_dispatches);
   if (corpus_registered > 0 || corpus_register_failures > 0) {
     out += StrFormat(" | corpus %d registered, %d failed",
                      corpus_registered, corpus_register_failures);

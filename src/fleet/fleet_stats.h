@@ -7,9 +7,8 @@
 /// frame progress, a per-job P² latency estimate, and the last completed
 /// attempt's DegradationStats. FleetStats aggregates the fleet: terminal
 /// counts, total frames, the fleet-wide latency quantile the load
-/// controller sheds on, ready-queue pressure, and the
-/// shed/defer/retry/watchdog tallies that describe how the scheduler
-/// spent its error budgets.
+/// controller sheds on, and the shed/defer/retry/watchdog tallies that
+/// describe how the scheduler spent its error budgets.
 
 #ifndef DIEVENT_FLEET_FLEET_STATS_H_
 #define DIEVENT_FLEET_FLEET_STATS_H_
@@ -68,21 +67,18 @@ struct FleetStats {
   int parked = 0;
   int shed = 0;
   int running = 0;
-  int waiting = 0;     ///< pending + queued + backoff
+  int waiting = 0;     ///< pending + backoff
 
   long long frames_committed = 0;
   long long retries = 0;           ///< attempts beyond each job's first
   int watchdog_interrupts = 0;
-  int deferred_dispatches = 0;     ///< dispatch rounds that skipped kLow
+  int deferred_dispatches = 0;     ///< runner picks that skipped kLow
   int corpus_registered = 0;       ///< tenants published to the corpus
   int corpus_register_failures = 0;
 
   /// Fleet-wide frame-latency quantile the load controller samples.
   double frame_latency_quantile_s = 0;
   long long latency_samples = 0;
-
-  size_t ready_queue_capacity = 0;
-  size_t ready_queue_max_depth = 0;  ///< high-water mark
 
   /// True when every admitted job completed (no parked jobs; shed
   /// admissions are policy, not failure).

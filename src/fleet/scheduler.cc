@@ -12,7 +12,6 @@ namespace dievent {
 EventScheduler::EventScheduler(SchedulerOptions options)
     : options_(options),
       clock_(options.clock != nullptr ? options.clock : RealClock::Get()),
-      ready_(options.queue_capacity, clock_),
       fleet_latency_(options_.latency_quantile) {}
 
 EventScheduler::~EventScheduler() { Shutdown(); }
@@ -36,7 +35,7 @@ int EventScheduler::Submit(EventJobSpec spec) {
     job->state = JobState::kPending;
     ++waiting_;
     pending_.push_back(id);
-    clock_->NotifyAll(mu_, dispatcher_cv_);
+    clock_->NotifyAll(mu_, runner_cv_);
   }
   jobs_.push_back(std::move(job));
   return id;
@@ -55,9 +54,9 @@ void EventScheduler::Start() {
   // releases its token as its last act.
   clock_->AddPendingWork(1 + m);
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
-  runners_ = std::make_unique<ThreadPool>(m);
+  runners_.reserve(m);
   for (int i = 0; i < m; ++i) {
-    runners_->Submit([this] { RunnerLoop(); });
+    runners_.emplace_back([this] { RunnerLoop(); });
   }
 }
 
@@ -67,10 +66,9 @@ Status EventScheduler::RunUntilDrained() {
     MutexLock lock(mu_);
     draining_ = true;
     clock_->NotifyAll(mu_, dispatcher_cv_);
+    clock_->NotifyAll(mu_, runner_cv_);
   }
-  if (dispatcher_.joinable()) dispatcher_.join();
-  ready_.Close();  // idempotent; the dispatcher already closed it
-  runners_.reset();
+  JoinThreads();
 
   MutexLock lock(mu_);
   int parked = 0;
@@ -97,10 +95,15 @@ void EventScheduler::Shutdown() {
       if (job->state == JobState::kRunning) job->cancel.Cancel();
     }
     clock_->NotifyAll(mu_, dispatcher_cv_);
+    clock_->NotifyAll(mu_, runner_cv_);
   }
-  ready_.Close();
+  JoinThreads();
+}
+
+void EventScheduler::JoinThreads() {
   if (dispatcher_.joinable()) dispatcher_.join();
-  runners_.reset();
+  for (std::thread& runner : runners_) runner.join();
+  runners_.clear();
 }
 
 // --- dispatcher --------------------------------------------------------
@@ -110,9 +113,8 @@ void EventScheduler::DispatcherLoop() {
     MutexLock lock(mu_);
     while (!shutdown_) {
       const VirtualClock::TimePoint now = clock_->Now();
-      PromoteRetriesLocked(now);
+      if (PromoteRetriesLocked(now)) clock_->NotifyAll(mu_, runner_cv_);
       FireWatchdogsLocked(now);
-      DispatchLocked();
       if (draining_ && AllTerminalLocked()) break;
       std::optional<VirtualClock::TimePoint> deadline =
           NextDeadlineLocked();
@@ -123,18 +125,18 @@ void EventScheduler::DispatcherLoop() {
       }
     }
   }
-  // Runners drain the remaining queued ids (there are none on the clean
-  // all-terminal exit) and then see the closed queue and exit.
-  ready_.Close();
   clock_->AddPendingWork(-1);
 }
 
-void EventScheduler::PromoteRetriesLocked(VirtualClock::TimePoint now) {
+bool EventScheduler::PromoteRetriesLocked(VirtualClock::TimePoint now) {
+  bool promoted = false;
   for (const auto& job : jobs_) {
     if (job->state != JobState::kBackoff || now < job->retry_at) continue;
     job->state = JobState::kPending;
     pending_.push_back(job->id);
+    promoted = true;
   }
+  return promoted;
 }
 
 void EventScheduler::FireWatchdogsLocked(VirtualClock::TimePoint now) {
@@ -150,35 +152,34 @@ void EventScheduler::FireWatchdogsLocked(VirtualClock::TimePoint now) {
   }
 }
 
-void EventScheduler::DispatchLocked() {
+int EventScheduler::TakeDispatchableLocked() {
   const bool defer_low = DeferLowLocked();
   bool skipped_low = false;
-  while (!pending_.empty()) {
-    // Highest priority first, FIFO (= lowest id) within a priority.
-    int best = -1;
-    for (int id : pending_) {
-      const Job& job = *jobs_[id];
-      if (defer_low && job.spec.priority == JobPriority::kLow) {
-        skipped_low = true;
-        continue;
-      }
-      if (best < 0) {
-        best = id;
-        continue;
-      }
-      const Job& incumbent = *jobs_[best];
-      if (static_cast<int>(job.spec.priority) >
-              static_cast<int>(incumbent.spec.priority) ||
-          (job.spec.priority == incumbent.spec.priority && id < best)) {
-        best = id;
-      }
+  // Highest priority first, FIFO (= lowest id) within a priority.
+  int best = -1;
+  for (int id : pending_) {
+    const Job& job = *jobs_[id];
+    if (defer_low && job.spec.priority == JobPriority::kLow) {
+      skipped_low = true;
+      continue;
     }
-    if (best < 0) break;  // nothing dispatchable (all deferred)
-    if (!ready_.TryPush(best)) break;  // queue full: backpressure
-    jobs_[best]->queued = true;
+    if (best < 0) {
+      best = id;
+      continue;
+    }
+    const Job& incumbent = *jobs_[best];
+    if (static_cast<int>(job.spec.priority) >
+            static_cast<int>(incumbent.spec.priority) ||
+        (job.spec.priority == incumbent.spec.priority && id < best)) {
+      best = id;
+    }
+  }
+  low_deferred_ = skipped_low;
+  if (skipped_low) ++deferred_dispatches_;
+  if (best >= 0) {
     pending_.erase(std::find(pending_.begin(), pending_.end(), best));
   }
-  if (skipped_low) ++deferred_dispatches_;
+  return best;
 }
 
 bool EventScheduler::DeferLowLocked() const {
@@ -216,31 +217,41 @@ EventScheduler::NextDeadlineLocked() const {
 // --- runners -----------------------------------------------------------
 
 void EventScheduler::RunnerLoop() {
-  while (std::optional<int> id = ready_.Pop()) {
-    RunOneJob(*id);
+  int attempt = 0;
+  while (Job* job = NextJob(&attempt)) {
+    RunOneJob(job, attempt);
   }
   clock_->AddPendingWork(-1);
 }
 
-void EventScheduler::RunOneJob(int job_id) {
-  Job* job = nullptr;
-  EventJobRunContext ctx;
-  {
-    MutexLock lock(mu_);
-    job = jobs_[job_id].get();
-    job->queued = false;
-    job->state = JobState::kRunning;
-    ++running_;
-    --waiting_;
-    ctx.attempt = job->attempts++;
-    job->stats.attempts = job->attempts;
-    job->stats.attempt_started_at_s.push_back(clock_->NowSeconds());
-    job->last_commit = clock_->Now();
-    // Re-arm between attempts: no other thread holds the token while the
-    // job is off the ready queue and not running.
-    job->watchdog_fired = false;
-    job->cancel.Reset();
+EventScheduler::Job* EventScheduler::NextJob(int* attempt) {
+  MutexLock lock(mu_);
+  while (!shutdown_) {
+    const int id = TakeDispatchableLocked();
+    if (id >= 0) {
+      Job* job = jobs_[id].get();
+      job->state = JobState::kRunning;
+      ++running_;
+      --waiting_;
+      *attempt = job->attempts++;
+      job->stats.attempts = job->attempts;
+      job->stats.attempt_started_at_s.push_back(clock_->NowSeconds());
+      job->last_commit = clock_->Now();
+      // Re-arm between attempts: no other thread holds the token while
+      // the job is not running.
+      job->watchdog_fired = false;
+      job->cancel.Reset();
+      return job;
+    }
+    if (draining_ && AllTerminalLocked()) break;
+    clock_->Wait(mu_, runner_cv_);
   }
+  return nullptr;
+}
+
+void EventScheduler::RunOneJob(Job* job, int attempt) {
+  EventJobRunContext ctx;
+  ctx.attempt = attempt;
   ctx.clock = clock_;
   ctx.cancel = &job->cancel;
   ctx.default_checkpoint_every_frames = options_.checkpoint_every_frames;
@@ -290,7 +301,10 @@ void EventScheduler::RunOneJob(int job_id) {
                                                    delay_s);
       }
     }
+    // A retry or watchdog deadline changed, the drain may be complete,
+    // and with one fewer attempt running a deferred kLow job may now go.
     clock_->NotifyAll(mu_, dispatcher_cv_);
+    clock_->NotifyAll(mu_, runner_cv_);
   }
 }
 
@@ -302,9 +316,12 @@ void EventScheduler::OnFrameCommitted(Job* job) {
   ++job->stats.frames_committed;
   job->latency.Add(latency_s);
   fleet_latency_.Add(latency_s);
-  // The liveness deadline moved and the load picture changed; the
-  // dispatcher re-derives its wait.
-  clock_->NotifyAll(mu_, dispatcher_cv_);
+  // The liveness deadline moved: the dispatcher re-derives its wait.
+  if (options_.watchdog_deadline_s > 0) {
+    clock_->NotifyAll(mu_, dispatcher_cv_);
+  }
+  // The fleet quantile moved: an idle runner re-checks the deferral.
+  if (low_deferred_) clock_->NotifyAll(mu_, runner_cv_);
 }
 
 // --- observability -----------------------------------------------------
@@ -318,8 +335,6 @@ FleetStats EventScheduler::stats() const {
   out.deferred_dispatches = deferred_dispatches_;
   out.frame_latency_quantile_s = fleet_latency_.Estimate();
   out.latency_samples = fleet_latency_.count();
-  out.ready_queue_capacity = ready_.capacity();
-  out.ready_queue_max_depth = ready_.max_depth_seen();
   for (const auto& job : jobs_) {
     JobStats stats = job->stats;
     stats.state = job->state;

@@ -3,13 +3,16 @@
 /// concurrently, with per-tenant fault bulkheads, admission control, and
 /// overload shedding.
 ///
-/// Topology. One dispatcher thread owns every scheduling decision; M
-/// runner tasks on a shared ThreadPool execute attempts. The two sides
-/// meet at a bounded MPMC ready queue of job ids: the dispatcher pushes
-/// dispatchable jobs (priority order, FIFO within a priority), runners
-/// pop and run one attempt to completion. The queue bound is the
-/// backpressure: when runners fall behind, the dispatcher simply stops
-/// feeding and jobs wait their turn as kPending.
+/// Topology. The scheduler owns one dispatcher thread and M runner
+/// threads, and keeps one queue: the pending list under its mutex. A
+/// free runner takes the best dispatchable job from it itself (priority
+/// order, FIFO within a priority, kLow skipped while deferral holds),
+/// runs one attempt to completion, and comes back for the next; with
+/// nothing dispatchable it parks until an admission, a retry promotion
+/// or a finished attempt may have changed that. A job therefore waits
+/// as kPending until the instant a runner is free to start it, so
+/// priority and deferral decide every start. The dispatcher keeps only
+/// the timed work: promoting retries and firing watchdogs.
 ///
 /// Bulkheads. Each job owns its pipeline, durable-store directory, and
 /// error budget (EventJobSpec). A failed attempt — pipeline error,
@@ -46,10 +49,11 @@
 /// every run: admission order, retry instants, watchdog interrupts, and
 /// shed decisions are all assertable to the exact simulated second.
 ///
-/// Thread contract: the control-plane API (Submit / Start /
-/// RunUntilDrained / destructor) is driven by one owner thread; stats()
-/// and job_state() are safe from any thread at any time. result() is
-/// valid only after RunUntilDrained returned.
+/// Thread contract: Start / RunUntilDrained / destructor are driven by
+/// one owner thread; Submit is also safe from a job's post_frame_hook
+/// (the owner still decides when draining starts); stats() and
+/// job_state() are safe from any thread at any time. result() is valid
+/// only after RunUntilDrained returned.
 
 #ifndef DIEVENT_FLEET_SCHEDULER_H_
 #define DIEVENT_FLEET_SCHEDULER_H_
@@ -64,10 +68,8 @@
 #include "common/backoff.h"
 #include "common/cancellation.h"
 #include "common/clock.h"
-#include "common/mpmc_queue.h"
 #include "common/quantile.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "fleet/event_job.h"
 #include "fleet/fleet_stats.h"
 
@@ -91,8 +93,6 @@ inline BackoffPolicy DefaultFleetBackoff() {
 struct SchedulerOptions {
   /// Runner parallelism M: attempts executing at once.
   int max_concurrent = 2;
-  /// Ready-queue bound (dispatch backpressure).
-  size_t queue_capacity = 8;
   /// Time source for every scheduling decision; null = the real clock.
   /// Must outlive the scheduler.
   VirtualClock* clock = nullptr;
@@ -111,7 +111,7 @@ struct SchedulerOptions {
   int checkpoint_every_frames = 0;
 
   /// Admission control: shed kLow submissions while the waiting
-  /// population (pending + queued + backoff) is at least this many;
+  /// population (pending + backoff) is at least this many;
   /// 0 = never shed.
   size_t shed_waiting_above = 0;
   /// Overload deferral: while the fleet frame-latency quantile exceeds
@@ -181,8 +181,7 @@ class EventScheduler {
     CancellationToken cancel;
 
     JobState state = JobState::kPending;
-    bool queued = false;  ///< sitting in the ready queue
-    int attempts = 0;     ///< attempts started
+    int attempts = 0;  ///< attempts started
     VirtualClock::TimePoint retry_at{};     ///< valid in kBackoff
     VirtualClock::TimePoint last_commit{};  ///< watchdog liveness anchor
     bool watchdog_fired = false;            ///< once per attempt
@@ -193,19 +192,26 @@ class EventScheduler {
 
   void DispatcherLoop() EXCLUDES(mu_);
   void RunnerLoop() EXCLUDES(mu_);
-  void RunOneJob(int job_id) EXCLUDES(mu_);
+  /// Parks until a job is dispatchable, then starts its attempt (state,
+  /// counters, watchdog re-arm) and stores the attempt index in
+  /// `*attempt`. Null once the runner should exit: shutdown, or
+  /// draining with every job terminal.
+  Job* NextJob(int* attempt) EXCLUDES(mu_);
+  void RunOneJob(Job* job, int attempt) EXCLUDES(mu_);
   void OnFrameCommitted(Job* job) EXCLUDES(mu_);
   void Shutdown() EXCLUDES(mu_);
+  /// Joins the dispatcher and every runner (owner thread only).
+  void JoinThreads();
 
   /// Moves kBackoff jobs whose retry instant has arrived back to the
-  /// pending list.
-  void PromoteRetriesLocked(VirtualClock::TimePoint now) REQUIRES(mu_);
+  /// pending list; true when any moved.
+  bool PromoteRetriesLocked(VirtualClock::TimePoint now) REQUIRES(mu_);
   /// Trips the cancellation token of running jobs past their liveness
   /// deadline.
   void FireWatchdogsLocked(VirtualClock::TimePoint now) REQUIRES(mu_);
-  /// Feeds the ready queue: priority desc, id asc, kLow deferred under
-  /// overload, bounded by queue capacity.
-  void DispatchLocked() REQUIRES(mu_);
+  /// Removes and returns the best pending job: priority desc, id asc,
+  /// kLow skipped under overload; -1 when nothing is dispatchable.
+  int TakeDispatchableLocked() REQUIRES(mu_);
   bool DeferLowLocked() const REQUIRES(mu_);
   bool AllTerminalLocked() const REQUIRES(mu_);
   /// Earliest instant the dispatcher must act (retry or watchdog);
@@ -219,34 +225,37 @@ class EventScheduler {
 
   const SchedulerOptions options_;
   VirtualClock* const clock_;
-  /// Dispatcher -> runners handoff; its bound is the dispatch
-  /// backpressure.
-  MpmcQueue<int> ready_;
 
   mutable Mutex mu_{LockRank::kFleetScheduler};
-  /// Wakes the dispatcher: new submission, attempt finished, frame
-  /// committed (liveness deadline moved), shutdown.
+  /// Wakes the dispatcher: attempt finished, frame committed while the
+  /// watchdog is on (liveness deadline moved), drain, shutdown.
   CondVar dispatcher_cv_;
+  /// Wakes idle runners when a job may have become dispatchable:
+  /// admission, retry promotion, attempt finished, a frame committed
+  /// while a kLow job is deferred; also drain and shutdown.
+  CondVar runner_cv_;
   std::vector<std::unique_ptr<Job>> jobs_ GUARDED_BY(mu_);
-  /// Admitted jobs awaiting dispatch, submission order.
+  /// Admitted jobs awaiting a free runner, submission order.
   std::deque<int> pending_ GUARDED_BY(mu_);
   int running_ GUARDED_BY(mu_) = 0;
-  /// Pending + queued + backoff (the shed threshold's population).
+  /// Pending + backoff (the shed threshold's population).
   int waiting_ GUARDED_BY(mu_) = 0;
   bool started_ GUARDED_BY(mu_) = false;
   /// Set by RunUntilDrained: no further submissions are coming, so the
-  /// dispatcher may exit once every job is terminal (this is what lets
+  /// threads may exit once every job is terminal (this is what lets
   /// an empty fleet drain instead of waiting forever for work).
   bool draining_ GUARDED_BY(mu_) = false;
   bool shutdown_ GUARDED_BY(mu_) = false;
   P2Quantile fleet_latency_ GUARDED_BY(mu_);
   int deferred_dispatches_ GUARDED_BY(mu_) = 0;
+  /// The latest pick skipped a kLow job under deferral.
+  bool low_deferred_ GUARDED_BY(mu_) = false;
 
   // Thread handles: written by Start, joined by RunUntilDrained /
   // Shutdown — all on the owner thread per the class contract, so they
   // need no lock.
   std::thread dispatcher_;
-  std::unique_ptr<ThreadPool> runners_;
+  std::vector<std::thread> runners_;
 };
 
 }  // namespace dievent

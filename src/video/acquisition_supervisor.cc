@@ -167,7 +167,6 @@ void AcquisitionSupervisor::ReaderLoop(Reader* reader) {
       reader->busy = false;
       reader->busy_frame = -1;
       ++reader->stats.reads_completed;
-      // lockrank: allow(order): lock-free SpscQueue, not the ranked MpmcQueue
       if (!reader->responses.TryPush(std::move(resp))) {
         // Only reachable if the caller stopped draining; the response is
         // stale by definition, so dropping it is safe.

@@ -349,7 +349,6 @@ bool MultiCameraSource::PumpPush(SynchronizedFrameSet set) {
   }
   if (pump_->stop) return false;
   // Sole producer below the depth bound: room is certain.
-  // lockrank: allow(order): lock-free SpscQueue, not the ranked MpmcQueue
   DIEVENT_CHECK(pump_->queue.TryPush(std::move(set)));
   pump_->produced.NotifyOne();
   return true;
@@ -399,7 +398,6 @@ Result<SynchronizedFrameSet> MultiCameraSource::GetFrames(int index) {
       while (pump_->queue.SizeApprox() == 0 && !pump_->done) {
         pump_->produced.Wait(pump_->mutex);
       }
-      // lockrank: allow(order): lock-free SpscQueue, not the ranked MpmcQueue
       set = pump_->queue.TryPop();
       if (set.has_value()) pump_->consumed.NotifyOne();
     }

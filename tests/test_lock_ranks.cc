@@ -20,7 +20,7 @@ namespace {
 
 TEST(LockRankTracker, RankIncreasingChainIsLegal) {
   Mutex low{LockRank::kFleetScheduler};
-  Mutex mid{LockRank::kReadyQueue};
+  Mutex mid{LockRank::kCorpus};
   Mutex high{LockRank::kLogSink};
   MutexLock a(low);
   MutexLock b(mid);

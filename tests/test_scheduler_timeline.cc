@@ -1,15 +1,17 @@
 // SimClock-exact fleet-scheduler timelines: admission/dispatch order,
 // backoff-retry instants, the watchdog interrupt deadline, and
 // shed/defer decisions are all asserted to the exact simulated second.
-// Everything here runs on auto-advancing simulated time with one runner
-// (max_concurrent = 1), so the whole schedule is a deterministic
+// Everything here runs on auto-advancing simulated time, mostly with one
+// runner (max_concurrent = 1), so the whole schedule is a deterministic
 // sequence no matter how loaded the test machine is.
 //
 // Idiom (mirrors test_retry_timeline.cc): submit every job BEFORE
-// Start(), so no scheduling happens while the test is still admitting;
-// per-frame cost is synthesized by a post_frame_hook that sleeps the
-// SimClock; expected instants are recomputed from the same pure
-// functions the scheduler uses (BackoffPolicy::Delay).
+// Start(), so no scheduling happens while the test is still admitting —
+// except where a test admits mid-run on purpose, from a job's
+// post_frame_hook at a fixed simulated instant; per-frame cost is
+// synthesized by a post_frame_hook that sleeps the SimClock; expected
+// instants are recomputed from the same pure functions the scheduler
+// uses (BackoffPolicy::Delay).
 
 #include <gtest/gtest.h>
 
@@ -277,7 +279,6 @@ TEST(SchedulerTimelineTest, DefersLowPriorityUnderLatencyOverload) {
   SchedulerOptions options;
   options.clock = &clock;
   options.max_concurrent = 1;
-  options.queue_capacity = 1;
   options.defer_latency_above_s = 0.1;
   options.min_latency_samples = 1;
   EventScheduler scheduler(options);
@@ -295,12 +296,13 @@ TEST(SchedulerTimelineTest, DefersLowPriorityUnderLatencyOverload) {
 
   ASSERT_TRUE(scheduler.RunUntilDrained().ok());
 
-  // The normal job dispatched past the deferred low one; the low job
-  // ran only once the fleet went idle (deferral requires something to
-  // be running, so overload can never park a low job forever).
+  // The normal job started ahead of the low one; the low job ran only
+  // once the fleet went idle (deferral requires something to be
+  // running, so overload can never park a low job forever). With one
+  // runner, a free runner means nothing is running, so deferral itself
+  // never fires here — DeferredLowWaitsWhileARunnerIsIdle covers it.
   FleetStats stats = scheduler.stats();
   ASSERT_EQ(stats.completed, 3);
-  EXPECT_GE(stats.deferred_dispatches, 1);
   ASSERT_EQ(stats.jobs[id_quick].attempt_started_at_s.size(), 1u);
   ASSERT_EQ(stats.jobs[id_low].attempt_started_at_s.size(), 1u);
   EXPECT_NEAR(stats.jobs[id_quick].attempt_started_at_s[0], 4.0,
@@ -309,6 +311,102 @@ TEST(SchedulerTimelineTest, DefersLowPriorityUnderLatencyOverload) {
               kTolerance);
   EXPECT_GT(stats.jobs[id_slow].frame_latency_quantile_s,
             options.defer_latency_above_s);
+}
+
+TEST(SchedulerTimelineTest, HighPriorityAdmittedMidRunStartsNext) {
+  SimClock::Options clock_options;
+  clock_options.auto_advance = true;
+  SimClock clock(clock_options);
+
+  // 4 frames at 1 s each. A and B are admitted before Start; the high
+  // job arrives at t = 0 from A's frame-0 hook, while B is still
+  // waiting. When A frees the runner at 4.0, the high job must start
+  // before B: priority decides every start, not admission order.
+  const DiningScene scene = MakeDinnerScenario(3, 0.4, 10.0);
+  ASSERT_EQ(scene.num_frames(), 4);
+
+  SchedulerOptions options;
+  options.clock = &clock;
+  options.max_concurrent = 1;
+  EventScheduler scheduler(options);
+
+  std::atomic<int> id_high{-1};
+  EventJobSpec a = QuickJob("a", &scene, JobPriority::kNormal);
+  a.post_frame_hook = [&](int frame, double /*t*/) {
+    if (frame == 0) {
+      EventJobSpec high = QuickJob("high", &scene, JobPriority::kHigh);
+      AddFrameCost(&high, &clock, 1.0);
+      id_high = scheduler.Submit(std::move(high));
+    }
+    clock.SleepFor(VirtualClock::FromSeconds(1.0));
+  };
+  const int id_a = scheduler.Submit(std::move(a));
+  EventJobSpec b = QuickJob("b", &scene, JobPriority::kNormal);
+  AddFrameCost(&b, &clock, 1.0);
+  const int id_b = scheduler.Submit(std::move(b));
+
+  ASSERT_TRUE(scheduler.RunUntilDrained().ok());
+
+  FleetStats stats = scheduler.stats();
+  ASSERT_EQ(stats.completed, 3);
+  ASSERT_GE(id_high.load(), 0);
+  const JobStats& high = stats.jobs[id_high.load()];
+  ASSERT_EQ(stats.jobs[id_a].attempt_started_at_s.size(), 1u);
+  ASSERT_EQ(high.attempt_started_at_s.size(), 1u);
+  ASSERT_EQ(stats.jobs[id_b].attempt_started_at_s.size(), 1u);
+  EXPECT_NEAR(high.admitted_at_s, 0.0, kTolerance);
+  EXPECT_NEAR(stats.jobs[id_a].attempt_started_at_s[0], 0.0, kTolerance);
+  EXPECT_NEAR(high.attempt_started_at_s[0], 4.0, kTolerance);
+  EXPECT_NEAR(stats.jobs[id_b].attempt_started_at_s[0], 8.0, kTolerance);
+  EXPECT_NEAR(stats.jobs[id_b].completed_at_s, 12.0, kTolerance);
+}
+
+TEST(SchedulerTimelineTest, DeferredLowWaitsWhileARunnerIsIdle) {
+  SimClock::Options clock_options;
+  clock_options.auto_advance = true;
+  SimClock clock(clock_options);
+
+  // Two runners. The slow job commits 8 frames at 0.5 s each, holding
+  // the fleet P95 at 0.5 s, above the 0.1 s threshold. The low job
+  // arrives from the slow job's frame-1 hook (t = 0.5, two latency
+  // samples in). The second runner is free the whole time, but while
+  // the slow job runs the overload defers the low job, so it starts
+  // exactly when the slow job finishes at 4.0.
+  const DiningScene slow_scene = MakeDinnerScenario(3, 0.8, 10.0);
+  ASSERT_EQ(slow_scene.num_frames(), 8);
+  const DiningScene quick_scene = MakeDinnerScenario(3, 0.2, 10.0);
+  ASSERT_EQ(quick_scene.num_frames(), 2);
+
+  SchedulerOptions options;
+  options.clock = &clock;
+  options.max_concurrent = 2;
+  options.defer_latency_above_s = 0.1;
+  options.min_latency_samples = 1;
+  EventScheduler scheduler(options);
+
+  std::atomic<int> id_low{-1};
+  EventJobSpec slow = QuickJob("slow", &slow_scene, JobPriority::kNormal);
+  slow.post_frame_hook = [&](int frame, double /*t*/) {
+    if (frame == 1) {
+      EventJobSpec low = QuickJob("low", &quick_scene, JobPriority::kLow);
+      AddFrameCost(&low, &clock, 0.5);
+      id_low = scheduler.Submit(std::move(low));
+    }
+    clock.SleepFor(VirtualClock::FromSeconds(0.5));
+  };
+  const int id_slow = scheduler.Submit(std::move(slow));
+
+  ASSERT_TRUE(scheduler.RunUntilDrained().ok());
+
+  FleetStats stats = scheduler.stats();
+  ASSERT_EQ(stats.completed, 2);
+  ASSERT_GE(id_low.load(), 0);
+  const JobStats& low = stats.jobs[id_low.load()];
+  EXPECT_NEAR(low.admitted_at_s, 0.5, kTolerance);
+  ASSERT_EQ(low.attempt_started_at_s.size(), 1u);
+  EXPECT_NEAR(low.attempt_started_at_s[0], 4.0, kTolerance);
+  EXPECT_NEAR(stats.jobs[id_slow].completed_at_s, 4.0, kTolerance);
+  EXPECT_GE(stats.deferred_dispatches, 1);
 }
 
 }  // namespace

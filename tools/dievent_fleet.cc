@@ -16,12 +16,15 @@
 /// Exit codes:
 ///   0  every admitted tenant completed
 ///   1  at least one tenant was parked (its error budget ran out)
-///   2  usage or environmental error (bad flag, unreadable directory,
-///      unparsable scene)
+///   2  usage or environmental error (bad flag or flag value, unreadable
+///      directory, unparsable scene)
 ///
 /// Inspect the stores afterwards with `dievent_fsck --fleet <out>`.
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,13 +44,14 @@ void PrintUsage(std::FILE* out) {
   std::fputs(
       "usage: dievent_fleet [options] <scenario-dir>\n"
       "  Runs every *.scene config in <scenario-dir> as one tenant of\n"
-      "  the multi-tenant event scheduler (ground-truth mode).\n"
+      "  the multi-tenant event scheduler (ground-truth mode); a free\n"
+      "  runner starts the highest-priority waiting tenant.\n"
+      "  Numeric values must be non-negative and fit an int.\n"
       "options:\n"
       "  --out DIR             fleet root for per-tenant durable stores\n"
       "                        (default: in-memory only)\n"
-      "  --max-concurrent N    runner parallelism (default 2)\n"
-      "  --queue-capacity N    ready-queue bound (default 8)\n"
-      "  --max-attempts N      error budget per tenant (default 3)\n"
+      "  --max-concurrent N    runner parallelism, >= 1 (default 2)\n"
+      "  --max-attempts N      error budget per tenant, >= 1 (default 3)\n"
       "  --watchdog S          interrupt a tenant committing no frame\n"
       "                        for S seconds (default: off)\n"
       "  --checkpoint-every N  checkpoint stores every N frames\n"
@@ -64,18 +68,24 @@ void PrintUsage(std::FILE* out) {
       out);
 }
 
-bool ParseIntFlag(const char* value, int* out) {
+/// Accepts a whole decimal integer in [min, INT_MAX].
+bool ParseIntFlag(const char* value, int min, int* out) {
   char* end = nullptr;
+  errno = 0;
   long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0') return false;
+  if (end == value || *end != '\0' || errno == ERANGE) return false;
+  if (parsed < min || parsed > INT_MAX) return false;
   *out = static_cast<int>(parsed);
   return true;
 }
 
-bool ParseDoubleFlag(const char* value, double* out) {
+/// Accepts a finite number of seconds in [0, INT_MAX]; the bound keeps
+/// the value convertible to a clock duration.
+bool ParseSecondsFlag(const char* value, double* out) {
   char* end = nullptr;
   double parsed = std::strtod(value, &end);
   if (end == value || *end != '\0') return false;
+  if (!std::isfinite(parsed) || parsed < 0 || parsed > INT_MAX) return false;
   *out = parsed;
   return true;
 }
@@ -121,15 +131,15 @@ int main(int argc, char** argv) {
       parse_video = true;
     } else {
       int* int_target = nullptr;
+      int int_min = 0;
       double* double_target = nullptr;
-      int queue_capacity = 0;
       int shed_above = 0;
       if (std::strcmp(arg, "--max-concurrent") == 0) {
         int_target = &sched.max_concurrent;
-      } else if (std::strcmp(arg, "--queue-capacity") == 0) {
-        int_target = &queue_capacity;
+        int_min = 1;
       } else if (std::strcmp(arg, "--max-attempts") == 0) {
         int_target = &sched.max_attempts;
+        int_min = 1;
       } else if (std::strcmp(arg, "--checkpoint-every") == 0) {
         int_target = &sched.checkpoint_every_frames;
       } else if (std::strcmp(arg, "--shed-above") == 0) {
@@ -152,15 +162,13 @@ int main(int argc, char** argv) {
       }
       const char* v = next();
       if (v == nullptr ||
-          (int_target != nullptr && !ParseIntFlag(v, int_target)) ||
+          (int_target != nullptr && !ParseIntFlag(v, int_min, int_target)) ||
           (double_target != nullptr &&
-           !ParseDoubleFlag(v, double_target))) {
+           !ParseSecondsFlag(v, double_target))) {
         std::fprintf(stderr, "dievent_fleet: bad value for %s\n", arg);
         return 2;
       }
-      if (int_target == &queue_capacity) {
-        sched.queue_capacity = static_cast<size_t>(queue_capacity);
-      } else if (int_target == &shed_above) {
+      if (int_target == &shed_above) {
         sched.shed_waiting_above = static_cast<size_t>(shed_above);
       }
     }

@@ -94,7 +94,8 @@ STRING_LITERAL = re.compile(r'"(?:[^"\\]|\\.)*"' + r"|'(?:[^'\\]|\\.)'")
 
 CLOCK_METHODS = {"Wait", "WaitFor", "WaitUntil", "NotifyAll"}
 # EXCLUDES-annotated names too generic to attribute at a call site
-# (`items_.size()` is a std::deque call, not MpmcQueue::size).
+# (`items_.size()` is almost always a standard-container call, not a
+# ranked class's own accessor).
 GENERIC_METHODS = {"size", "empty"}
 CLOCK_RANK = "kClockWaiters"
 LOG_RANK = "kLogSink"
