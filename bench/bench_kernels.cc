@@ -1,7 +1,8 @@
 // KERNELS: scalar-vs-SIMD microbenchmarks for the vision/ML hot-path
 // kernels in src/common/simd.h — blocked matvec, row-wise LBP codes, the
-// integral-image prefix scan, the detector's dual color gate, and the
-// mask occupancy reduce.
+// integral-image prefix scan, the detector's dual color gate, the mask
+// occupancy reduce, and the emotion net's two training kernels (batched
+// weight gradient, Adam step).
 //
 // `bench_kernels --perf_smoke=PATH` verifies the kernels' bit-identical
 // equivalence contract (simd::SelfCheck), measures each kernel scalar vs
@@ -42,9 +43,17 @@ constexpr int kFrameW = 640, kFrameH = 480;
 
 // Emotion-net first-layer shape: 6x6 LBP grid x 59 bins -> 48 hidden.
 constexpr int kMatVecIn = 2124, kMatVecOut = 48;
+// Training: a default minibatch through that layer, and one Adam step
+// over every parameter of the {2124, 48, 7} emotion net.
+constexpr int kTrainBatch = 16;
+constexpr size_t kAdamParams =
+    static_cast<size_t>(kMatVecIn + 1) * kMatVecOut + (kMatVecOut + 1) * 7;
 
 struct KernelData {
   std::vector<float> w, bias, x, y;
+  std::vector<float> batch_in, batch_delta, grad;
+  std::vector<const float*> batch_rows;
+  std::vector<float> adam_grad, adam_w, adam_m, adam_v;
   std::vector<uint8_t> gray, codes, rgb, mask_a, mask_b, sparse, occ;
   std::vector<uint32_t> prev, integral_out;
 
@@ -63,6 +72,38 @@ struct KernelData {
           100.0f;
     }
     for (auto& v : x) v = static_cast<float>(rng.Next() % 1000) / 1000.0f;
+
+    // LBP-histogram-like inputs: ~64% exact zeros, like the emotion
+    // net's layer-0 inputs.
+    batch_in.resize(static_cast<size_t>(kTrainBatch) * kMatVecIn);
+    for (auto& v : batch_in) {
+      v = rng.Next() % 100 < 64
+              ? 0.0f
+              : static_cast<float>(rng.Next() % 1000) / 4000.0f;
+    }
+    batch_rows.resize(kTrainBatch);
+    for (int b = 0; b < kTrainBatch; ++b) {
+      batch_rows[b] = batch_in.data() + static_cast<size_t>(b) * kMatVecIn;
+    }
+    batch_delta.resize(static_cast<size_t>(kTrainBatch) * kMatVecOut);
+    for (auto& v : batch_delta) {
+      v = static_cast<float>(static_cast<int>(rng.Next() % 2001) - 1000) /
+          50000.0f;
+    }
+    grad.resize(static_cast<size_t>(kMatVecIn) * kMatVecOut);
+
+    adam_grad.resize(kAdamParams);
+    adam_w.resize(kAdamParams);
+    adam_m.assign(kAdamParams, 0.0f);
+    adam_v.assign(kAdamParams, 0.0f);
+    for (auto& v : adam_grad) {
+      v = static_cast<float>(static_cast<int>(rng.Next() % 2001) - 1000) /
+          10000.0f;
+    }
+    for (auto& v : adam_w) {
+      v = static_cast<float>(static_cast<int>(rng.Next() % 2001) - 1000) /
+          1000.0f;
+    }
 
     const size_t n = static_cast<size_t>(kFrameW) * kFrameH;
     gray.resize(n);
@@ -174,6 +215,44 @@ void RunOccupancy(bool simd_path) {
   }
 }
 
+void RunBatchGradient(bool simd_path) {
+  KernelData& d = Data();
+  for (int r = 0; r < 16; ++r) {
+    if (simd_path) {
+      simd::BatchGradient(d.batch_rows.data(), d.batch_delta.data(),
+                          kTrainBatch, kMatVecIn, kMatVecOut, d.grad.data());
+    } else {
+      simd::BatchGradientScalar(d.batch_rows.data(), d.batch_delta.data(),
+                                kTrainBatch, kMatVecIn, kMatVecOut,
+                                d.grad.data());
+    }
+    benchmark::DoNotOptimize(d.grad.data());
+  }
+}
+
+void RunAdamStep(bool simd_path) {
+  KernelData& d = Data();
+  simd::AdamStepParams p;
+  p.grad_scale = 1.0f / kTrainBatch;
+  p.decay = true;
+  p.l2 = 1e-4f;
+  p.b1 = 0.9f;
+  p.b2 = 0.999f;
+  p.alpha = 2e-3f;
+  p.eps = 1e-8f;
+  for (int r = 0; r < 16; ++r) {
+    if (simd_path) {
+      simd::AdamStep(p, d.adam_grad.data(), kAdamParams, d.adam_w.data(),
+                     d.adam_m.data(), d.adam_v.data());
+    } else {
+      simd::AdamStepScalar(p, d.adam_grad.data(), kAdamParams,
+                           d.adam_w.data(), d.adam_m.data(),
+                           d.adam_v.data());
+    }
+    benchmark::DoNotOptimize(d.adam_w.data());
+  }
+}
+
 struct Kernel {
   const char* name;
   void (*run)(bool simd_path);
@@ -183,7 +262,9 @@ struct Kernel {
   // runners. The integral row is the exception: the kernel streams ~9
   // bytes of table traffic per pixel while the scalar recurrence already
   // runs at one add per cycle, so both sides sit near the memory
-  // bandwidth limit and the honest speedup is ~1.6-2x.
+  // bandwidth limit and the honest speedup is ~1.6-2x. The two training
+  // kernels measure ~2.2-2.7x (batch_gradient) and ~4x (adam_step, whose
+  // scalar sqrt and divide do not auto-vectorize) on a 4-vCPU x86 host.
   double floor;
 };
 
@@ -193,6 +274,8 @@ constexpr Kernel kKernels[] = {
     {"integral_row", RunIntegral, 1.2},
     {"color_masks", RunColorMasks, 1.5},
     {"occupancy_map", RunOccupancy, 1.5},
+    {"batch_gradient", RunBatchGradient, 1.5},
+    {"adam_step", RunAdamStep, 1.5},
 };
 
 // --- google-benchmark registrations -------------------------------------
@@ -257,6 +340,10 @@ int RunPerfSmoke(const std::string& path) {
       .Add("frame", std::to_string(kFrameW) + "x" + std::to_string(kFrameH))
       .Add("matvec_shape",
            std::to_string(kMatVecIn) + "->" + std::to_string(kMatVecOut))
+      .Add("batch_gradient_shape",
+           std::to_string(kTrainBatch) + "x" + std::to_string(kMatVecIn) +
+               "->" + std::to_string(kMatVecOut))
+      .Add("adam_params", kAdamParams)
       .Begin("kernels");
   for (const Row& r : rows) {
     json.Begin(r.name)

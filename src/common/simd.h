@@ -15,7 +15,10 @@
 ///  - The float matvec fixes a lane-partitioned summation order (four
 ///    interleaved partial sums combined as (l0+l2)+(l1+l3)) that both
 ///    implementations share, so IEEE-754 determinism makes them agree to
-///    the last bit. This requires the build to disable FP contraction
+///    the last bit. The batched gradient sums each element in sample
+///    order, and the Adam step is elementwise with correctly rounded
+///    sqrt and divide, so they agree the same way. This requires the
+///    build to disable FP contraction
 ///    (-ffp-contract=off, set in the top-level CMakeLists); a fused
 ///    multiply-add in only one of the two paths would break the contract.
 /// tests/test_simd_kernels.cc asserts the contract exhaustively over
@@ -27,6 +30,7 @@
 #define DIEVENT_COMMON_SIMD_H_
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -247,6 +251,307 @@ inline void MatVec(const float* w, const float* bias, const float* x,
 inline void MatVec(const float* w, const float* bias, const float* x, int in,
                    int out_n, float* y) {
   MatVecScalar(w, bias, x, in, out_n, y);
+}
+
+#endif
+
+// ---------------------------------------------------------------------------
+// Batched weight gradient: g[o*in + i] = sum_b d[b*out_n + o] * a[b][i]
+//
+// The backward pass of one dense layer over a minibatch: `a` holds the
+// batch's layer inputs (one row pointer per sample, `in` floats each),
+// `d` its output deltas (batch x out_n, row-major), and `g` receives the
+// out_n x in weight gradient, overwritten.
+//
+// Summation semantics (shared by both implementations): every element
+// starts at +0 and adds its products in ascending sample order — the
+// order of a per-sample accumulate loop. Blocking over o and i only
+// chooses which elements are in flight together; it reorders no element's
+// additions. A zero delta or activation needs no skip: its product is ±0,
+// and adding ±0 leaves any accumulator that started at +0 unchanged
+// (DESIGN §13).
+// ---------------------------------------------------------------------------
+
+inline void BatchGradientScalar(const float* const* a, const float* d,
+                                int batch, int in, int out_n, float* g) {
+  for (int o = 0; o < out_n; ++o) {
+    float* row = g + static_cast<size_t>(o) * in;
+    for (int i = 0; i < in; ++i) row[i] = 0.0f;
+    for (int b = 0; b < batch; ++b) {
+      const float dv = d[static_cast<size_t>(b) * out_n + o];
+      const float* x = a[b];
+      for (int i = 0; i < in; ++i) row[i] += dv * x[i];
+    }
+  }
+}
+
+#if defined(DIEVENT_SIMD_SSE2)
+
+inline void BatchGradient(const float* const* a, const float* d, int batch,
+                          int in, int out_n, float* g) {
+  const int vec8_end = in & ~7;
+  const int vec4_end = in & ~3;
+  int o = 0;
+  // Four rows x eight columns per block: eight accumulators, two loads of
+  // the sample's inputs and four delta broadcasts per sample.
+  for (; o + 4 <= out_n; o += 4) {
+    float* g0 = g + static_cast<size_t>(o) * in;
+    float* g1 = g0 + in;
+    float* g2 = g1 + in;
+    float* g3 = g2 + in;
+    int i = 0;
+    for (; i < vec8_end; i += 8) {
+      __m128 c00 = _mm_setzero_ps(), c01 = _mm_setzero_ps();
+      __m128 c10 = _mm_setzero_ps(), c11 = _mm_setzero_ps();
+      __m128 c20 = _mm_setzero_ps(), c21 = _mm_setzero_ps();
+      __m128 c30 = _mm_setzero_ps(), c31 = _mm_setzero_ps();
+      for (int b = 0; b < batch; ++b) {
+        const float* x = a[b] + i;
+        const float* db = d + static_cast<size_t>(b) * out_n + o;
+        const __m128 x0 = _mm_loadu_ps(x);
+        const __m128 x1 = _mm_loadu_ps(x + 4);
+        const __m128 d0 = _mm_set1_ps(db[0]);
+        const __m128 d1 = _mm_set1_ps(db[1]);
+        const __m128 d2 = _mm_set1_ps(db[2]);
+        const __m128 d3 = _mm_set1_ps(db[3]);
+        c00 = _mm_add_ps(c00, _mm_mul_ps(d0, x0));
+        c01 = _mm_add_ps(c01, _mm_mul_ps(d0, x1));
+        c10 = _mm_add_ps(c10, _mm_mul_ps(d1, x0));
+        c11 = _mm_add_ps(c11, _mm_mul_ps(d1, x1));
+        c20 = _mm_add_ps(c20, _mm_mul_ps(d2, x0));
+        c21 = _mm_add_ps(c21, _mm_mul_ps(d2, x1));
+        c30 = _mm_add_ps(c30, _mm_mul_ps(d3, x0));
+        c31 = _mm_add_ps(c31, _mm_mul_ps(d3, x1));
+      }
+      _mm_storeu_ps(g0 + i, c00);
+      _mm_storeu_ps(g0 + i + 4, c01);
+      _mm_storeu_ps(g1 + i, c10);
+      _mm_storeu_ps(g1 + i + 4, c11);
+      _mm_storeu_ps(g2 + i, c20);
+      _mm_storeu_ps(g2 + i + 4, c21);
+      _mm_storeu_ps(g3 + i, c30);
+      _mm_storeu_ps(g3 + i + 4, c31);
+    }
+    for (; i < vec4_end; i += 4) {
+      __m128 c0 = _mm_setzero_ps(), c1 = _mm_setzero_ps();
+      __m128 c2 = _mm_setzero_ps(), c3 = _mm_setzero_ps();
+      for (int b = 0; b < batch; ++b) {
+        const __m128 x0 = _mm_loadu_ps(a[b] + i);
+        const float* db = d + static_cast<size_t>(b) * out_n + o;
+        c0 = _mm_add_ps(c0, _mm_mul_ps(_mm_set1_ps(db[0]), x0));
+        c1 = _mm_add_ps(c1, _mm_mul_ps(_mm_set1_ps(db[1]), x0));
+        c2 = _mm_add_ps(c2, _mm_mul_ps(_mm_set1_ps(db[2]), x0));
+        c3 = _mm_add_ps(c3, _mm_mul_ps(_mm_set1_ps(db[3]), x0));
+      }
+      _mm_storeu_ps(g0 + i, c0);
+      _mm_storeu_ps(g1 + i, c1);
+      _mm_storeu_ps(g2 + i, c2);
+      _mm_storeu_ps(g3 + i, c3);
+    }
+    for (; i < in; ++i) {
+      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+      for (int b = 0; b < batch; ++b) {
+        const float x = a[b][i];
+        const float* db = d + static_cast<size_t>(b) * out_n + o;
+        s0 += db[0] * x;
+        s1 += db[1] * x;
+        s2 += db[2] * x;
+        s3 += db[3] * x;
+      }
+      g0[i] = s0;
+      g1[i] = s1;
+      g2[i] = s2;
+      g3[i] = s3;
+    }
+  }
+  for (; o < out_n; ++o) {
+    float* row = g + static_cast<size_t>(o) * in;
+    int i = 0;
+    for (; i < vec4_end; i += 4) {
+      __m128 c = _mm_setzero_ps();
+      for (int b = 0; b < batch; ++b) {
+        const __m128 dv = _mm_set1_ps(d[static_cast<size_t>(b) * out_n + o]);
+        c = _mm_add_ps(c, _mm_mul_ps(dv, _mm_loadu_ps(a[b] + i)));
+      }
+      _mm_storeu_ps(row + i, c);
+    }
+    for (; i < in; ++i) {
+      float s = 0.0f;
+      for (int b = 0; b < batch; ++b) {
+        s += d[static_cast<size_t>(b) * out_n + o] * a[b][i];
+      }
+      row[i] = s;
+    }
+  }
+}
+
+#elif defined(DIEVENT_SIMD_NEON)
+
+inline void BatchGradient(const float* const* a, const float* d, int batch,
+                          int in, int out_n, float* g) {
+  const int vec4_end = in & ~3;
+  int o = 0;
+  for (; o + 4 <= out_n; o += 4) {
+    float* g0 = g + static_cast<size_t>(o) * in;
+    float* g1 = g0 + in;
+    float* g2 = g1 + in;
+    float* g3 = g2 + in;
+    int i = 0;
+    for (; i < vec4_end; i += 4) {
+      float32x4_t c0 = vdupq_n_f32(0.0f), c1 = vdupq_n_f32(0.0f);
+      float32x4_t c2 = vdupq_n_f32(0.0f), c3 = vdupq_n_f32(0.0f);
+      for (int b = 0; b < batch; ++b) {
+        const float32x4_t x0 = vld1q_f32(a[b] + i);
+        const float* db = d + static_cast<size_t>(b) * out_n + o;
+        // Explicit mul + add (not vmlaq/fma), as in MatVec.
+        c0 = vaddq_f32(c0, vmulq_f32(vdupq_n_f32(db[0]), x0));
+        c1 = vaddq_f32(c1, vmulq_f32(vdupq_n_f32(db[1]), x0));
+        c2 = vaddq_f32(c2, vmulq_f32(vdupq_n_f32(db[2]), x0));
+        c3 = vaddq_f32(c3, vmulq_f32(vdupq_n_f32(db[3]), x0));
+      }
+      vst1q_f32(g0 + i, c0);
+      vst1q_f32(g1 + i, c1);
+      vst1q_f32(g2 + i, c2);
+      vst1q_f32(g3 + i, c3);
+    }
+    for (; i < in; ++i) {
+      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+      for (int b = 0; b < batch; ++b) {
+        const float x = a[b][i];
+        const float* db = d + static_cast<size_t>(b) * out_n + o;
+        s0 += db[0] * x;
+        s1 += db[1] * x;
+        s2 += db[2] * x;
+        s3 += db[3] * x;
+      }
+      g0[i] = s0;
+      g1[i] = s1;
+      g2[i] = s2;
+      g3[i] = s3;
+    }
+  }
+  for (; o < out_n; ++o) {
+    float* row = g + static_cast<size_t>(o) * in;
+    int i = 0;
+    for (; i < vec4_end; i += 4) {
+      float32x4_t c = vdupq_n_f32(0.0f);
+      for (int b = 0; b < batch; ++b) {
+        const float32x4_t dv =
+            vdupq_n_f32(d[static_cast<size_t>(b) * out_n + o]);
+        c = vaddq_f32(c, vmulq_f32(dv, vld1q_f32(a[b] + i)));
+      }
+      vst1q_f32(row + i, c);
+    }
+    for (; i < in; ++i) {
+      float s = 0.0f;
+      for (int b = 0; b < batch; ++b) {
+        s += d[static_cast<size_t>(b) * out_n + o] * a[b][i];
+      }
+      row[i] = s;
+    }
+  }
+}
+
+#else
+
+inline void BatchGradient(const float* const* a, const float* d, int batch,
+                          int in, int out_n, float* g) {
+  BatchGradientScalar(a, d, batch, in, out_n, g);
+}
+
+#endif
+
+// ---------------------------------------------------------------------------
+// Adam step (Kingma & Ba, arXiv:1412.6980) over n parameters, elementwise:
+//   g = grad * grad_scale (+ l2 * w when `decay`)
+//   m = b1 * m + (1 - b1) * g
+//   v = b2 * v + ((1 - b2) * g) * g
+//   w = w - (alpha * m) / (sqrt(v) + eps)
+// `alpha` carries the per-step bias correction, computed by the caller.
+//
+// Both implementations evaluate exactly these operations in this order.
+// SSE2 sqrtps/divps (and AArch64 vsqrtq/vdivq) round correctly, like the
+// scalar std::sqrt and /, so with contraction off the results agree bit
+// for bit. 32-bit ARM NEON has no exact vector sqrt or divide and uses the
+// scalar reference.
+// ---------------------------------------------------------------------------
+
+struct AdamStepParams {
+  float grad_scale = 1.0f;  ///< multiplies the raw gradient (1 / batch)
+  bool decay = false;       ///< add l2 * w to the gradient (weights only)
+  float l2 = 0.0f;
+  float b1 = 0.0f;     ///< first-moment decay
+  float b2 = 0.0f;     ///< second-moment decay
+  float alpha = 0.0f;  ///< bias-corrected learning rate
+  float eps = 0.0f;
+};
+
+inline void AdamStepScalar(const AdamStepParams& p, const float* grad,
+                           size_t n, float* w, float* m, float* v) {
+  const float c1 = 1.0f - p.b1;
+  const float c2 = 1.0f - p.b2;
+  for (size_t i = 0; i < n; ++i) {
+    float gi = grad[i] * p.grad_scale;
+    if (p.decay) gi = gi + p.l2 * w[i];
+    m[i] = p.b1 * m[i] + c1 * gi;
+    v[i] = p.b2 * v[i] + c2 * gi * gi;
+    w[i] -= p.alpha * m[i] / (std::sqrt(v[i]) + p.eps);
+  }
+}
+
+#if defined(DIEVENT_SIMD_SSE2) || \
+    (defined(DIEVENT_SIMD_NEON) && defined(__aarch64__))
+
+inline void AdamStep(const AdamStepParams& p, const float* grad, size_t n,
+                     float* w, float* m, float* v) {
+  const size_t vec_end = n & ~static_cast<size_t>(3);
+#if defined(DIEVENT_SIMD_SSE2)
+  const __m128 scale = _mm_set1_ps(p.grad_scale), l2 = _mm_set1_ps(p.l2);
+  const __m128 b1 = _mm_set1_ps(p.b1), c1 = _mm_set1_ps(1.0f - p.b1);
+  const __m128 b2 = _mm_set1_ps(p.b2), c2 = _mm_set1_ps(1.0f - p.b2);
+  const __m128 alpha = _mm_set1_ps(p.alpha), eps = _mm_set1_ps(p.eps);
+  for (size_t i = 0; i < vec_end; i += 4) {
+    const __m128 wi = _mm_loadu_ps(w + i);
+    __m128 gi = _mm_mul_ps(_mm_loadu_ps(grad + i), scale);
+    if (p.decay) gi = _mm_add_ps(gi, _mm_mul_ps(l2, wi));
+    const __m128 mi =
+        _mm_add_ps(_mm_mul_ps(b1, _mm_loadu_ps(m + i)), _mm_mul_ps(c1, gi));
+    const __m128 vi = _mm_add_ps(_mm_mul_ps(b2, _mm_loadu_ps(v + i)),
+                                 _mm_mul_ps(_mm_mul_ps(c2, gi), gi));
+    _mm_storeu_ps(m + i, mi);
+    _mm_storeu_ps(v + i, vi);
+    _mm_storeu_ps(w + i,
+                  _mm_sub_ps(wi, _mm_div_ps(_mm_mul_ps(alpha, mi),
+                                            _mm_add_ps(_mm_sqrt_ps(vi), eps))));
+  }
+#else
+  const float32x4_t scale = vdupq_n_f32(p.grad_scale), l2 = vdupq_n_f32(p.l2);
+  const float32x4_t b1 = vdupq_n_f32(p.b1), c1 = vdupq_n_f32(1.0f - p.b1);
+  const float32x4_t b2 = vdupq_n_f32(p.b2), c2 = vdupq_n_f32(1.0f - p.b2);
+  const float32x4_t alpha = vdupq_n_f32(p.alpha), eps = vdupq_n_f32(p.eps);
+  for (size_t i = 0; i < vec_end; i += 4) {
+    const float32x4_t wi = vld1q_f32(w + i);
+    float32x4_t gi = vmulq_f32(vld1q_f32(grad + i), scale);
+    if (p.decay) gi = vaddq_f32(gi, vmulq_f32(l2, wi));
+    const float32x4_t mi =
+        vaddq_f32(vmulq_f32(b1, vld1q_f32(m + i)), vmulq_f32(c1, gi));
+    const float32x4_t vi = vaddq_f32(vmulq_f32(b2, vld1q_f32(v + i)),
+                                     vmulq_f32(vmulq_f32(c2, gi), gi));
+    vst1q_f32(m + i, mi);
+    vst1q_f32(v + i, vi);
+    vst1q_f32(w + i, vsubq_f32(wi, vdivq_f32(vmulq_f32(alpha, mi),
+                                             vaddq_f32(vsqrtq_f32(vi), eps))));
+  }
+#endif
+  AdamStepScalar(p, grad + vec_end, n - vec_end, w + vec_end, m + vec_end,
+                 v + vec_end);
+}
+
+#else
+
+inline void AdamStep(const AdamStepParams& p, const float* grad, size_t n,
+                     float* w, float* m, float* v) {
+  AdamStepScalar(p, grad, n, w, m, v);
 }
 
 #endif
@@ -752,6 +1057,49 @@ inline bool SelfCheck() {
     MatVecScalar(w, bias, x, in, out_n, y_ref);
     MatVec(w, bias, x, in, out_n, y_simd);
     if (std::memcmp(y_ref, y_simd, sizeof(y_ref)) != 0) return false;
+  }
+  {  // Batched gradient: 3 samples, 19 inputs (8-, 4- and 1-wide tails),
+     // 6 outputs (a 4-row block plus 2 single rows), a zero delta, and
+     // non-dyadic values, so the sums round and their order shows.
+    const int batch = 3, in = 19, out_n = 6;
+    float a[3 * 19], d[3 * 6], g_ref[6 * 19], g_simd[6 * 19];
+    for (auto& v : a) v = static_cast<float>(static_cast<int>(next() % 2001) - 1000) / 997.0f;
+    for (auto& v : d) v = static_cast<float>(static_cast<int>(next() % 2001) - 1000) / 991.0f;
+    d[4] = 0.0f;
+    const float* rows[3] = {a, a + in, a + 2 * in};
+    BatchGradientScalar(rows, d, batch, in, out_n, g_ref);
+    BatchGradient(rows, d, batch, in, out_n, g_simd);
+    if (std::memcmp(g_ref, g_simd, sizeof(g_ref)) != 0) return false;
+  }
+  {  // Adam step over 11 parameters (two vectors + a tail of 3), with and
+     // without weight decay.
+    const size_t n = 11;
+    float grad[11], w_ref[11], m_ref[11], v_ref[11];
+    for (auto& v : grad) v = static_cast<float>(static_cast<int>(next() % 17) - 8) * 0.375f;
+    for (auto& v : w_ref) v = static_cast<float>(static_cast<int>(next() % 13) - 6) * 0.0625f;
+    for (auto& v : m_ref) v = static_cast<float>(static_cast<int>(next() % 9) - 4) * 0.03125f;
+    for (auto& v : v_ref) v = static_cast<float>(next() % 9) * 0.0078125f;
+    float w_simd[11], m_simd[11], v_simd[11];
+    std::memcpy(w_simd, w_ref, sizeof(w_ref));
+    std::memcpy(m_simd, m_ref, sizeof(m_ref));
+    std::memcpy(v_simd, v_ref, sizeof(v_ref));
+    AdamStepParams p;
+    p.grad_scale = 1.0f / 7.0f;
+    p.l2 = 1e-4f;
+    p.b1 = 0.9f;
+    p.b2 = 0.999f;
+    p.alpha = 3e-3f;
+    p.eps = 1e-8f;
+    for (bool decay : {true, false}) {
+      p.decay = decay;
+      AdamStepScalar(p, grad, n, w_ref, m_ref, v_ref);
+      AdamStep(p, grad, n, w_simd, m_simd, v_simd);
+    }
+    if (std::memcmp(w_ref, w_simd, sizeof(w_ref)) != 0 ||
+        std::memcmp(m_ref, m_simd, sizeof(m_ref)) != 0 ||
+        std::memcmp(v_ref, v_simd, sizeof(v_ref)) != 0) {
+      return false;
+    }
   }
   {  // LBP codes on a 29x7 image (vector body + scalar borders/tail).
     const int w = 29, h = 7;

@@ -90,7 +90,7 @@ void NeuralNet::Forward(const std::vector<float>& input,
     } else {
       // Leaky ReLU: the small negative slope keeps gradients alive even
       // after an aggressive update pushes a unit negative (plain ReLU
-      // units die permanently under SGD+momentum on spiky features).
+      // units die permanently under large steps on spiky features).
       for (float& v : cur) {
         if (v < 0.0f) v *= 0.01f;
       }
@@ -128,6 +128,14 @@ __attribute__((aligned(64))) Result<std::vector<EpochStats>> NeuralNet::Train(
     return Status::InvalidArgument("no training samples");
   }
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
+  if (options.batch_size < 1) {
+    return Status::InvalidArgument(
+        StrFormat("batch_size %d must be >= 1", options.batch_size));
+  }
+  if (options.epochs < 0) {
+    return Status::InvalidArgument(
+        StrFormat("epochs %d must be >= 0", options.epochs));
+  }
   for (const TrainSample& s : samples) {
     if (static_cast<int>(s.features.size()) != InputSize()) {
       return Status::InvalidArgument(StrFormat(
@@ -140,17 +148,47 @@ __attribute__((aligned(64))) Result<std::vector<EpochStats>> NeuralNet::Train(
     }
   }
 
-  // Optimizer state mirroring weights and biases: momentum (SGD) or
-  // first/second moment estimates (Adam).
-  std::vector<std::vector<float>> vw(layers_.size()), vb(layers_.size());
-  std::vector<std::vector<float>> mw(layers_.size()), mb(layers_.size());
-  for (size_t li = 0; li < layers_.size(); ++li) {
-    vw[li].assign(layers_[li].weights.size(), 0.0f);
-    vb[li].assign(layers_[li].bias.size(), 0.0f);
+  const size_t num_layers = layers_.size();
+  // Adam state mirroring weights and biases: first (m*) and second (v*)
+  // moment estimates.
+  std::vector<std::vector<float>> mw(num_layers), vw(num_layers);
+  std::vector<std::vector<float>> mb(num_layers), vb(num_layers);
+  // Gradients of the current minibatch; BatchGradient overwrites gw.
+  std::vector<std::vector<float>> gw(num_layers), gb(num_layers);
+  for (size_t li = 0; li < num_layers; ++li) {
     mw[li].assign(layers_[li].weights.size(), 0.0f);
+    vw[li].assign(layers_[li].weights.size(), 0.0f);
     mb[li].assign(layers_[li].bias.size(), 0.0f);
+    vb[li].assign(layers_[li].bias.size(), 0.0f);
+    gw[li].assign(layers_[li].weights.size(), 0.0f);
+    gb[li].assign(layers_[li].bias.size(), 0.0f);
   }
   long long adam_step = 0;
+  simd::AdamStepParams adam;
+  adam.l2 = static_cast<float>(options.l2);
+  adam.b1 = static_cast<float>(options.adam_beta1);
+  adam.b2 = static_cast<float>(options.adam_beta2);
+  adam.eps = static_cast<float>(options.adam_epsilon);
+
+  // Per-batch stash for the gradient GEMMs: each sample's layer inputs
+  // (one row pointer per sample and layer) and output deltas (batch x out
+  // per layer). Layer 0's inputs are the samples' own feature vectors;
+  // deeper layers point into `batch_inputs`.
+  const size_t max_batch =
+      std::min(samples.size(), static_cast<size_t>(options.batch_size));
+  std::vector<std::vector<float>> batch_inputs(num_layers);
+  std::vector<std::vector<const float*>> input_rows(num_layers);
+  std::vector<std::vector<float>> batch_deltas(num_layers);
+  for (size_t li = 0; li < num_layers; ++li) {
+    batch_deltas[li].assign(max_batch * layers_[li].out, 0.0f);
+    input_rows[li].assign(max_batch, nullptr);
+    if (li == 0) continue;  // set per sample
+    const size_t in = static_cast<size_t>(layers_[li].in);
+    batch_inputs[li].assign(max_batch * in, 0.0f);
+    for (size_t b = 0; b < max_batch; ++b) {
+      input_rows[li][b] = batch_inputs[li].data() + b * in;
+    }
+  }
 
   std::vector<int> order(samples.size());
   std::iota(order.begin(), order.end(), 0);
@@ -158,15 +196,6 @@ __attribute__((aligned(64))) Result<std::vector<EpochStats>> NeuralNet::Train(
   std::vector<EpochStats> history;
   ForwardScratch scratch;
   std::vector<std::vector<float>>& acts = scratch.activations;
-  // Per-layer error terms (delta) for the backward pass.
-  std::vector<std::vector<float>> deltas(layers_.size());
-
-  // Gradient accumulators, reused across batches.
-  std::vector<std::vector<float>> gw(layers_.size()), gb(layers_.size());
-  for (size_t li = 0; li < layers_.size(); ++li) {
-    gw[li].assign(layers_[li].weights.size(), 0.0f);
-    gb[li].assign(layers_[li].bias.size(), 0.0f);
-  }
 
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     if (options.shuffle) {
@@ -177,18 +206,12 @@ __attribute__((aligned(64))) Result<std::vector<EpochStats>> NeuralNet::Train(
     double loss_sum = 0.0;
     int correct = 0;
 
-    for (size_t start = 0; start < order.size();
-         start += options.batch_size) {
-      size_t end = std::min(order.size(),
-                            start + static_cast<size_t>(options.batch_size));
-      int batch = static_cast<int>(end - start);
-      for (size_t li = 0; li < layers_.size(); ++li) {
-        std::fill(gw[li].begin(), gw[li].end(), 0.0f);
-        std::fill(gb[li].begin(), gb[li].end(), 0.0f);
-      }
+    for (size_t start = 0; start < order.size(); start += max_batch) {
+      const int batch = static_cast<int>(
+          std::min(order.size(), start + max_batch) - start);
 
-      for (size_t s = start; s < end; ++s) {
-        const TrainSample& sample = samples[order[s]];
+      for (int b = 0; b < batch; ++b) {
+        const TrainSample& sample = samples[order[start + b]];
         Forward(sample.features, &scratch);
         const std::vector<float>& probs = acts.back();
         loss_sum += -std::log(std::max(1e-9f, probs[sample.label]));
@@ -197,16 +220,23 @@ __attribute__((aligned(64))) Result<std::vector<EpochStats>> NeuralNet::Train(
         if (pred == sample.label) ++correct;
 
         // Output delta: softmax + cross-entropy gives (p - y).
-        deltas.back() = probs;
-        deltas.back()[sample.label] -= 1.0f;
+        float* out_delta =
+            batch_deltas.back().data() +
+            static_cast<size_t>(b) * layers_.back().out;
+        std::copy(probs.begin(), probs.end(), out_delta);
+        out_delta[sample.label] -= 1.0f;
 
-        // Backpropagate through hidden layers.
-        for (int li = static_cast<int>(layers_.size()) - 1; li > 0; --li) {
+        input_rows[0][b] = sample.features.data();
+        // Backpropagate through hidden layers, stashing each one's input.
+        for (size_t li = num_layers - 1; li > 0; --li) {
           const Layer& layer = layers_[li];
-          std::vector<float>& below = deltas[li - 1];
-          below.assign(layer.in, 0.0f);
+          const float* delta =
+              batch_deltas[li].data() + static_cast<size_t>(b) * layer.out;
+          float* below =
+              batch_deltas[li - 1].data() + static_cast<size_t>(b) * layer.in;
+          std::fill(below, below + layer.in, 0.0f);
           for (int o = 0; o < layer.out; ++o) {
-            const float d = deltas[li][o];
+            const float d = delta[o];
             if (d == 0.0f) continue;
             const float* wrow =
                 &layer.weights[static_cast<size_t>(o) * layer.in];
@@ -217,70 +247,46 @@ __attribute__((aligned(64))) Result<std::vector<EpochStats>> NeuralNet::Train(
           for (int i = 0; i < layer.in; ++i) {
             if (act[i] < 0.0f) below[i] *= 0.01f;
           }
-        }
-
-        // Accumulate gradients.
-        for (size_t li = 0; li < layers_.size(); ++li) {
-          const std::vector<float>& in_act = acts[li];
-          const std::vector<float>& d = deltas[li];
-          Layer& layer = layers_[li];
-          for (int o = 0; o < layer.out; ++o) {
-            const float dv = d[o];
-            if (dv == 0.0f) continue;
-            float* grow = &gw[li][static_cast<size_t>(o) * layer.in];
-            for (int i = 0; i < layer.in; ++i) grow[i] += dv * in_act[i];
-            gb[li][o] += dv;
-          }
+          std::copy(act.begin(), act.end(),
+                    batch_inputs[li].data() +
+                        static_cast<size_t>(b) * layer.in);
         }
       }
 
-      const float l2 = static_cast<float>(options.l2);
-      if (options.optimizer == Optimizer::kSgdMomentum) {
-        const float lr = static_cast<float>(options.learning_rate / batch);
-        const float mom = static_cast<float>(options.momentum);
-        for (size_t li = 0; li < layers_.size(); ++li) {
-          Layer& layer = layers_[li];
-          for (size_t i = 0; i < layer.weights.size(); ++i) {
-            vw[li][i] = mom * vw[li][i] -
-                        lr * (gw[li][i] + l2 * batch * layer.weights[i]);
-            layer.weights[i] += vw[li][i];
+      // Gradients: one GEMM per layer for the weights, and for the biases
+      // the deltas summed from +0 in sample order.
+      for (size_t li = 0; li < num_layers; ++li) {
+        const Layer& layer = layers_[li];
+        const float* deltas = batch_deltas[li].data();
+        simd::BatchGradient(input_rows[li].data(), deltas, batch, layer.in,
+                            layer.out, gw[li].data());
+        for (int o = 0; o < layer.out; ++o) {
+          float sum = 0.0f;
+          for (int b = 0; b < batch; ++b) {
+            sum += deltas[static_cast<size_t>(b) * layer.out + o];
           }
-          for (size_t i = 0; i < layer.bias.size(); ++i) {
-            vb[li][i] = mom * vb[li][i] - lr * gb[li][i];
-            layer.bias[i] += vb[li][i];
-          }
+          gb[li][o] = sum;
         }
-      } else {
-        // Adam with bias correction; m* holds the first moment, v* the
-        // second. Gradients are averaged over the batch.
-        ++adam_step;
-        const float lr = static_cast<float>(options.learning_rate);
-        const float b1 = static_cast<float>(options.adam_beta1);
-        const float b2 = static_cast<float>(options.adam_beta2);
-        const float eps = static_cast<float>(options.adam_epsilon);
-        const float inv_batch = 1.0f / static_cast<float>(batch);
-        const float corr1 =
-            1.0f - std::pow(b1, static_cast<float>(adam_step));
-        const float corr2 =
-            1.0f - std::pow(b2, static_cast<float>(adam_step));
-        const float alpha = lr * std::sqrt(corr2) / corr1;
-        for (size_t li = 0; li < layers_.size(); ++li) {
-          Layer& layer = layers_[li];
-          for (size_t i = 0; i < layer.weights.size(); ++i) {
-            float g = gw[li][i] * inv_batch + l2 * layer.weights[i];
-            mw[li][i] = b1 * mw[li][i] + (1.0f - b1) * g;
-            vw[li][i] = b2 * vw[li][i] + (1.0f - b2) * g * g;
-            layer.weights[i] -=
-                alpha * mw[li][i] / (std::sqrt(vw[li][i]) + eps);
-          }
-          for (size_t i = 0; i < layer.bias.size(); ++i) {
-            float g = gb[li][i] * inv_batch;
-            mb[li][i] = b1 * mb[li][i] + (1.0f - b1) * g;
-            vb[li][i] = b2 * vb[li][i] + (1.0f - b2) * g * g;
-            layer.bias[i] -=
-                alpha * mb[li][i] / (std::sqrt(vb[li][i]) + eps);
-          }
-        }
+      }
+
+      // Adam with bias correction; gradients are averaged over the batch
+      // and the weights (not the biases) carry L2 decay.
+      ++adam_step;
+      adam.grad_scale = 1.0f / static_cast<float>(batch);
+      const float corr1 =
+          1.0f - std::pow(adam.b1, static_cast<float>(adam_step));
+      const float corr2 =
+          1.0f - std::pow(adam.b2, static_cast<float>(adam_step));
+      adam.alpha =
+          static_cast<float>(options.learning_rate) * std::sqrt(corr2) / corr1;
+      for (size_t li = 0; li < num_layers; ++li) {
+        Layer& layer = layers_[li];
+        adam.decay = true;
+        simd::AdamStep(adam, gw[li].data(), layer.weights.size(),
+                       layer.weights.data(), mw[li].data(), vw[li].data());
+        adam.decay = false;
+        simd::AdamStep(adam, gb[li].data(), layer.bias.size(),
+                       layer.bias.data(), mb[li].data(), vb[li].data());
       }
     }
 
@@ -351,6 +357,22 @@ Result<NeuralNet> NeuralNet::Load(const std::string& path) {
     if (sizes[i] <= 0 || sizes[i] > (1 << 22)) {
       return Status::Corruption("implausible layer size in " + path);
     }
+  }
+  // A corrupt header can name layers far larger than the file; check the
+  // implied payload against the bytes left before allocating any of it.
+  uint64_t payload = 0;
+  for (uint32_t i = 0; i + 1 < num_sizes; ++i) {
+    const uint64_t in_n = static_cast<uint64_t>(sizes[i]);
+    const uint64_t out_n = static_cast<uint64_t>(sizes[i + 1]);
+    payload += (in_n * out_n + out_n) * sizeof(float);
+  }
+  const std::streamoff header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(header_end);
+  if (!in || file_end < header_end ||
+      static_cast<uint64_t>(file_end - header_end) < payload) {
+    return Status::Corruption("truncated neural-net file: " + path);
   }
   Rng dummy(1);
   DIEVENT_ASSIGN_OR_RETURN(NeuralNet net, NeuralNet::Create(sizes, &dummy));

@@ -3,7 +3,7 @@
 /// classifier backend ("neural network as a classifier").
 ///
 /// Dense layers with leaky-ReLU hidden activations and a softmax output, trained
-/// by minibatch SGD with momentum on cross-entropy loss. Deliberately
+/// by minibatch Adam on cross-entropy loss with L2 weight decay. Deliberately
 /// dependency-free; sized for the LBP feature vectors this project uses
 /// (a few thousand inputs, tens of hidden units).
 
@@ -24,18 +24,12 @@ struct TrainSample {
   int label = 0;
 };
 
-enum class Optimizer {
-  kSgdMomentum,
-  kAdam,
-};
-
+/// Minibatch Adam settings. Train rejects batch_size < 1 and epochs < 0.
 struct TrainOptions {
   int epochs = 30;
   int batch_size = 16;
-  Optimizer optimizer = Optimizer::kAdam;
-  /// For kAdam a good default is 1e-3..3e-3; for kSgdMomentum ~0.05.
+  /// Adam step size; 1e-3..3e-3 suits the emotion net.
   double learning_rate = 2e-3;
-  double momentum = 0.9;       ///< kSgdMomentum only (Adam beta1 is fixed)
   double adam_beta1 = 0.9;
   double adam_beta2 = 0.999;
   double adam_epsilon = 1e-8;
@@ -87,7 +81,10 @@ class NeuralNet {
   /// Argmax class of Predict().
   int Classify(const std::vector<float>& input) const;
 
-  /// Trains in place. Returns per-epoch statistics.
+  /// Trains in place. Returns per-epoch statistics. Each minibatch runs
+  /// the per-sample forward and backward passes, one gradient GEMM per
+  /// layer and one Adam step; the weights are bit-identical to a
+  /// per-sample accumulate-then-update loop (DESIGN §13).
   Result<std::vector<EpochStats>> Train(
       const std::vector<TrainSample>& samples, const TrainOptions& options,
       Rng* rng);

@@ -2,13 +2,16 @@
 //
 // The contract is bit-identical output (memcmp, not tolerance): integer
 // kernels are exact by construction, and the float matvec pins a shared
-// lane-partitioned summation order (see simd.h). Each kernel is checked
+// lane-partitioned summation order (see simd.h); the batched gradient
+// and the Adam step fix theirs the same way. Each kernel is checked
 // exhaustively over small sizes — every vector-width boundary, tail
 // length, and border case — and with seeded randoms over large,
 // unaligned, and odd-tailed inputs.
 
 #include "common/simd.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -225,6 +228,124 @@ TEST(SimdOccupancy, NonBooleanMaskValues) {
   EXPECT_EQ(1, ref[0]);
   EXPECT_EQ(0, ref[1]);
   EXPECT_EQ(1, ref[2]);
+}
+
+// --- Batched gradient and Adam step ----------------------------------------
+
+/// A float drawn from a mix that stresses the training kernels: ordinary
+/// values, exact +0 and -0, and subnormals (whose products underflow).
+float TrainingValue(XorShift* rng) {
+  switch (rng->Next() % 8) {
+    case 0:
+      return 0.0f;
+    case 1:
+      return -0.0f;
+    case 2:  // subnormal, either sign
+      return static_cast<float>(static_cast<int>(rng->Next() % 200) - 100) *
+             1e-40f;
+    default:
+      return rng->NextFloat();
+  }
+}
+
+void CheckBatchGradient(int batch, int in, int out_n, uint32_t seed) {
+  XorShift rng(seed);
+  // Rows at odd offsets into one buffer, so no row is 16-byte aligned.
+  std::vector<float> a(static_cast<size_t>(batch) * (in + 1) + 1);
+  std::vector<float> d(static_cast<size_t>(batch) * out_n);
+  for (auto& v : a) v = TrainingValue(&rng);
+  for (auto& v : d) v = TrainingValue(&rng);
+  // One sample with an all-zero delta row, one with all-zero inputs.
+  if (batch > 2) {
+    std::fill(d.begin() + out_n, d.begin() + 2 * out_n, 0.0f);
+    std::fill(a.begin() + 1 + 2 * (in + 1), a.begin() + 1 + 2 * (in + 1) + in,
+              0.0f);
+  }
+  std::vector<const float*> rows(batch);
+  for (int b = 0; b < batch; ++b) {
+    rows[b] = a.data() + 1 + static_cast<size_t>(b) * (in + 1);
+  }
+  const size_t n = static_cast<size_t>(in) * out_n;
+  std::vector<float> ref(n, -99.0f), got(n, 99.0f);
+  simd::BatchGradientScalar(rows.data(), d.data(), batch, in, out_n,
+                            ref.data());
+  simd::BatchGradient(rows.data(), d.data(), batch, in, out_n, got.data());
+  ASSERT_EQ(0, std::memcmp(ref.data(), got.data(), n * sizeof(float)))
+      << "batch=" << batch << " in=" << in << " out=" << out_n;
+
+  // The per-sample loop the kernel replaces skipped zero deltas; adding
+  // their ±0 products to a +0-started sum changes nothing, so both agree.
+  std::vector<float> skip(n, 0.0f);
+  for (int b = 0; b < batch; ++b) {
+    for (int o = 0; o < out_n; ++o) {
+      const float dv = d[static_cast<size_t>(b) * out_n + o];
+      if (dv == 0.0f) continue;
+      for (int i = 0; i < in; ++i) {
+        skip[static_cast<size_t>(o) * in + i] += dv * rows[b][i];
+      }
+    }
+  }
+  ASSERT_EQ(0, std::memcmp(skip.data(), got.data(), n * sizeof(float)))
+      << "batch=" << batch << " in=" << in << " out=" << out_n;
+}
+
+TEST(SimdBatchGradient, OddShapesAndBatchSizes) {
+  // `in` off multiples of 8 (and of 4), `out` off multiples of 4.
+  const int shapes[][2] = {{1, 1},  {3, 1},   {7, 3},   {9, 5},  {13, 6},
+                           {19, 7}, {37, 13}, {44, 2},  {8, 4},  {53, 9},
+                           {2124, 48}, {2123, 47}};
+  uint32_t seed = 101;
+  for (int batch : {1, 5, 16}) {
+    for (const auto& shape : shapes) {
+      CheckBatchGradient(batch, shape[0], shape[1], seed++);
+    }
+  }
+}
+
+TEST(SimdBatchGradient, ExhaustiveSmallShapes) {
+  uint32_t seed = 7;
+  for (int in = 1; in <= 18; ++in) {
+    for (int out_n = 1; out_n <= 9; ++out_n) {
+      CheckBatchGradient(3, in, out_n, seed++);
+    }
+  }
+}
+
+void CheckAdamStep(size_t n, uint32_t seed) {
+  XorShift rng(seed);
+  std::vector<float> grad(n), w(n), m(n), v(n);
+  for (auto& x : w) x = TrainingValue(&rng);
+  for (auto& x : m) x = TrainingValue(&rng) * 0.01f;
+  for (auto& x : v) x = std::fabs(TrainingValue(&rng)) * 1e-3f;
+  std::vector<float> w2 = w, m2 = m, v2 = v;
+  simd::AdamStepParams p;
+  p.l2 = 1e-4f;
+  p.b1 = 0.9f;
+  p.b2 = 0.999f;
+  p.eps = 1e-8f;
+  // Several steps, weights and biases alike, each on fresh gradients.
+  for (int step = 1; step <= 4; ++step) {
+    for (auto& x : grad) x = TrainingValue(&rng);
+    p.grad_scale = 1.0f / static_cast<float>(step + 4);
+    p.decay = step % 2 == 1;
+    p.alpha = 2e-3f * static_cast<float>(step);
+    simd::AdamStepScalar(p, grad.data(), n, w.data(), m.data(), v.data());
+    simd::AdamStep(p, grad.data(), n, w2.data(), m2.data(), v2.data());
+    // memcmp must not see the null data() of an empty vector.
+    auto same = [n](const std::vector<float>& x, const std::vector<float>& y) {
+      return n == 0 || std::memcmp(x.data(), y.data(), n * sizeof(float)) == 0;
+    };
+    ASSERT_TRUE(same(w, w2)) << "n=" << n << " step=" << step;
+    ASSERT_TRUE(same(m, m2)) << "n=" << n << " step=" << step;
+    ASSERT_TRUE(same(v, v2)) << "n=" << n << " step=" << step;
+  }
+}
+
+TEST(SimdAdamStep, OddLengthsAndExtremeValues) {
+  uint32_t seed = 211;
+  for (size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 11, 48, 55, 102384, 102387}) {
+    CheckAdamStep(n, seed++);
+  }
 }
 
 }  // namespace
