@@ -1,8 +1,7 @@
 // KERNELS: scalar-vs-SIMD microbenchmarks for the vision/ML hot-path
 // kernels in src/common/simd.h — blocked matvec, row-wise LBP codes, the
-// integral-image prefix scan, the detector's dual color gate, the mask
-// occupancy reduce, and the emotion net's two training kernels (batched
-// weight gradient, Adam step).
+// detector's dual color gate, the mask occupancy reduce, and the emotion
+// net's two training kernels (batched weight gradient, Adam step).
 //
 // `bench_kernels --perf_smoke=PATH` verifies the kernels' bit-identical
 // equivalence contract (simd::SelfCheck), measures each kernel scalar vs
@@ -55,7 +54,6 @@ struct KernelData {
   std::vector<const float*> batch_rows;
   std::vector<float> adam_grad, adam_w, adam_m, adam_v;
   std::vector<uint8_t> gray, codes, rgb, mask_a, mask_b, sparse, occ;
-  std::vector<uint32_t> prev, integral_out;
 
   KernelData() {
     XorShift rng;
@@ -109,9 +107,6 @@ struct KernelData {
     gray.resize(n);
     codes.resize(n);
     for (auto& v : gray) v = static_cast<uint8_t>(rng.Next());
-    prev.resize(kFrameW);
-    integral_out.resize(kFrameW);
-    for (auto& v : prev) v = rng.Next() % 1000000;
 
     rgb.resize(n * 3);
     mask_a.resize(n);
@@ -166,24 +161,6 @@ void RunLbp(bool simd_path) {
       simd::LbpCodesScalar(d.gray.data(), kFrameW, kFrameH, d.codes.data());
     }
     benchmark::DoNotOptimize(d.codes.data());
-  }
-}
-
-void RunIntegral(bool simd_path) {
-  KernelData& d = Data();
-  // Full-image build cost: kFrameH dependent row scans.
-  for (int r = 0; r < 8; ++r) {
-    for (int y = 0; y < kFrameH; ++y) {
-      const uint8_t* src = d.gray.data() + static_cast<size_t>(y) * kFrameW;
-      if (simd_path) {
-        simd::IntegralRow(src, d.prev.data(), d.integral_out.data(),
-                          kFrameW);
-      } else {
-        simd::IntegralRowScalar(src, d.prev.data(), d.integral_out.data(),
-                                kFrameW);
-      }
-    }
-    benchmark::DoNotOptimize(d.integral_out.data());
   }
 }
 
@@ -259,19 +236,15 @@ struct Kernel {
   // Minimum dispatched-vs-scalar speedup gated in --perf_smoke when a
   // vectorized backend is compiled in. Compute-bound kernels measure
   // >= 2x on commodity x86; 1.5 leaves margin for noisy shared CI
-  // runners. The integral row is the exception: the kernel streams ~9
-  // bytes of table traffic per pixel while the scalar recurrence already
-  // runs at one add per cycle, so both sides sit near the memory
-  // bandwidth limit and the honest speedup is ~1.6-2x. The two training
-  // kernels measure ~2.2-2.7x (batch_gradient) and ~4x (adam_step, whose
-  // scalar sqrt and divide do not auto-vectorize) on a 4-vCPU x86 host.
+  // runners. The two training kernels measure ~2.2-2.7x (batch_gradient)
+  // and ~4x (adam_step, whose scalar sqrt and divide do not
+  // auto-vectorize) on a 4-vCPU x86 host.
   double floor;
 };
 
 constexpr Kernel kKernels[] = {
     {"matvec", RunMatVec, 1.5},
     {"lbp_codes", RunLbp, 1.5},
-    {"integral_row", RunIntegral, 1.2},
     {"color_masks", RunColorMasks, 1.5},
     {"occupancy_map", RunOccupancy, 1.5},
     {"batch_gradient", RunBatchGradient, 1.5},
@@ -360,8 +333,7 @@ int RunPerfSmoke(const std::string& path) {
            "scalar/simd ms per work batch, best of 3; outputs are "
            "bit-identical across backends (simd::SelfCheck + "
            "test_simd_kernels); floors apply per kernel and only when a "
-           "vectorized backend is compiled in (integral_row is memory-"
-           "bandwidth-bound, hence its lower floor)");
+           "vectorized backend is compiled in");
   if (!json.WriteFile(path)) return 2;
 
   for (const Row& r : rows) {

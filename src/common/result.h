@@ -17,7 +17,7 @@ namespace dievent {
 ///
 /// Typical usage:
 /// \code
-///   Result<Image<uint8_t>> img = ReadPgm(path);
+///   Result<ImageRgb> img = ReadPpm(path);
 ///   if (!img.ok()) return img.status();
 ///   Use(img.value());
 /// \endcode

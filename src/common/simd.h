@@ -10,8 +10,8 @@
 ///
 /// Equivalence contract: every vectorized kernel produces output
 /// BIT-IDENTICAL to its scalar reference on the same input.
-///  - Integer kernels (LBP codes, color masks, integral rows, occupancy)
-///    are exact by construction.
+///  - Integer kernels (LBP codes, color masks, occupancy) are exact by
+///    construction.
 ///  - The float matvec fixes a lane-partitioned summation order (four
 ///    interleaved partial sums combined as (l0+l2)+(l1+l3)) that both
 ///    implementations share, so IEEE-754 determinism makes them agree to
@@ -673,108 +673,6 @@ inline void LbpCodes(const uint8_t* gray, int w, int h, uint8_t* codes) {
 #endif
 
 // ---------------------------------------------------------------------------
-// Integral-image row: out[x] = prev[x] + (src[0] + ... + src[x]), the
-// inner recurrence of a summed-area table build expressed as an inclusive
-// prefix scan plus the previous table row. uint32 arithmetic, exact.
-// ---------------------------------------------------------------------------
-
-inline void IntegralRowScalar(const uint8_t* src, const uint32_t* prev,
-                              uint32_t* out, int w) {
-  uint32_t run = 0;
-  for (int x = 0; x < w; ++x) {
-    run += src[x];
-    out[x] = prev[x] + run;
-  }
-}
-
-#if defined(DIEVENT_SIMD_SSE2)
-
-inline void IntegralRow(const uint8_t* src, const uint32_t* prev,
-                        uint32_t* out, int w) {
-  const __m128i zero = _mm_setzero_si128();
-  // The running row sum lives in the vector domain (broadcast across all
-  // four u32 lanes): the loop-carried dependency is then one paddd per 16
-  // pixels instead of an extract / scalar add / rebroadcast round trip.
-  __m128i runv = _mm_setzero_si128();
-  int x = 0;
-  for (; x + 16 <= w; x += 16) {
-    const __m128i bytes =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + x));
-    // Inclusive prefix scan of 16 bytes at u16 granularity (max partial
-    // sum 8*255 fits u16), low and high halves separately.
-    __m128i lo = _mm_unpacklo_epi8(bytes, zero);
-    __m128i hi = _mm_unpackhi_epi8(bytes, zero);
-    lo = _mm_add_epi16(lo, _mm_slli_si128(lo, 2));
-    lo = _mm_add_epi16(lo, _mm_slli_si128(lo, 4));
-    lo = _mm_add_epi16(lo, _mm_slli_si128(lo, 8));
-    hi = _mm_add_epi16(hi, _mm_slli_si128(hi, 2));
-    hi = _mm_add_epi16(hi, _mm_slli_si128(hi, 4));
-    hi = _mm_add_epi16(hi, _mm_slli_si128(hi, 8));
-    // Carry the low half's total (lane 7) into every high lane.
-    const __m128i lo_total = _mm_shuffle_epi32(
-        _mm_shufflehi_epi16(lo, _MM_SHUFFLE(3, 3, 3, 3)),
-        _MM_SHUFFLE(3, 3, 3, 3));
-    hi = _mm_add_epi16(hi, lo_total);
-    // Widen to u32, add the running row sum and the previous table row.
-    const __m128i p0 = _mm_add_epi32(_mm_unpacklo_epi16(lo, zero), runv);
-    const __m128i p1 = _mm_add_epi32(_mm_unpackhi_epi16(lo, zero), runv);
-    const __m128i p2 = _mm_add_epi32(_mm_unpacklo_epi16(hi, zero), runv);
-    const __m128i p3 = _mm_add_epi32(_mm_unpackhi_epi16(hi, zero), runv);
-    __m128i* o = reinterpret_cast<__m128i*>(out + x);
-    const __m128i* pv = reinterpret_cast<const __m128i*>(prev + x);
-    _mm_storeu_si128(o + 0, _mm_add_epi32(p0, _mm_loadu_si128(pv + 0)));
-    _mm_storeu_si128(o + 1, _mm_add_epi32(p1, _mm_loadu_si128(pv + 1)));
-    _mm_storeu_si128(o + 2, _mm_add_epi32(p2, _mm_loadu_si128(pv + 2)));
-    _mm_storeu_si128(o + 3, _mm_add_epi32(p3, _mm_loadu_si128(pv + 3)));
-    // hi's lane 7 (this block's total) as a broadcast u32: replicate the
-    // u16 across every lane, then shift out the duplicated high half.
-    const __m128i hi_total = _mm_shuffle_epi32(
-        _mm_shufflehi_epi16(hi, _MM_SHUFFLE(3, 3, 3, 3)),
-        _MM_SHUFFLE(3, 3, 3, 3));
-    runv = _mm_add_epi32(runv, _mm_srli_epi32(hi_total, 16));
-  }
-  uint32_t run = static_cast<uint32_t>(_mm_cvtsi128_si32(runv));
-  for (; x < w; ++x) {
-    run += src[x];
-    out[x] = prev[x] + run;
-  }
-}
-
-#elif defined(DIEVENT_SIMD_NEON)
-
-inline void IntegralRow(const uint8_t* src, const uint32_t* prev,
-                        uint32_t* out, int w) {
-  uint32_t run = 0;
-  int x = 0;
-  for (; x + 8 <= w; x += 8) {
-    // Inclusive prefix scan of 8 bytes at u16 granularity.
-    uint16x8_t v = vmovl_u8(vld1_u8(src + x));
-    v = vaddq_u16(v, vextq_u16(vdupq_n_u16(0), v, 7));
-    v = vaddq_u16(v, vextq_u16(vdupq_n_u16(0), v, 6));
-    v = vaddq_u16(v, vextq_u16(vdupq_n_u16(0), v, 4));
-    const uint32x4_t runv = vdupq_n_u32(run);
-    const uint32x4_t p0 = vaddq_u32(vmovl_u16(vget_low_u16(v)), runv);
-    const uint32x4_t p1 = vaddq_u32(vmovl_u16(vget_high_u16(v)), runv);
-    vst1q_u32(out + x, vaddq_u32(p0, vld1q_u32(prev + x)));
-    vst1q_u32(out + x + 4, vaddq_u32(p1, vld1q_u32(prev + x + 4)));
-    run += vgetq_lane_u16(v, 7);
-  }
-  for (; x < w; ++x) {
-    run += src[x];
-    out[x] = prev[x] + run;
-  }
-}
-
-#else
-
-inline void IntegralRow(const uint8_t* src, const uint32_t* prev,
-                        uint32_t* out, int w) {
-  IntegralRowScalar(src, prev, out, w);
-}
-
-#endif
-
-// ---------------------------------------------------------------------------
 // Detector color gates: one pass over an interleaved RGB buffer producing
 // two binary masks (1 where every channel is within tolerance of the
 // reference color, 0 otherwise). Byte-exact by construction.
@@ -1107,16 +1005,6 @@ inline bool SelfCheck() {
     for (auto& v : img) v = static_cast<uint8_t>(next());
     LbpCodesScalar(img, w, h, ref);
     LbpCodes(img, w, h, got);
-    if (std::memcmp(ref, got, sizeof(ref)) != 0) return false;
-  }
-  {  // Integral row of width 37 (one full vector + tail).
-    const int w = 37;
-    uint8_t src[37];
-    uint32_t prev[37], ref[37], got[37];
-    for (auto& v : src) v = static_cast<uint8_t>(next());
-    for (auto& v : prev) v = next() % 100000;
-    IntegralRowScalar(src, prev, ref, w);
-    IntegralRow(src, prev, got, w);
     if (std::memcmp(ref, got, sizeof(ref)) != 0) return false;
   }
   {  // Color masks over 53 pixels (three vectors + tail).

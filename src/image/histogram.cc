@@ -66,17 +66,6 @@ Status ValidateBinCount(int bins, const char* option) {
       "%s must be a power of two in [1, 256], got %d", option, bins));
 }
 
-Histogram ComputeGrayHistogram(const ImageU8& gray, int num_bins) {
-  DIEVENT_CHECK(gray.channels() == 1 && IsValidBinCount(num_bins))
-      << "num_bins " << num_bins;
-  Histogram h;
-  h.bins.assign(num_bins, 0.0);
-  const int shift = 256 / num_bins;
-  for (uint8_t v : gray.data()) h.bins[v / shift] += 1.0;
-  Normalize(&h);
-  return h;
-}
-
 Histogram ComputeColorHistogram(const ImageRgb& rgb, int bins_per_channel,
                                 bool soft_binning) {
   DIEVENT_CHECK(rgb.channels() == 3 && IsValidBinCount(bins_per_channel))

@@ -1,5 +1,5 @@
 /// \file histogram.h
-/// Intensity and color histograms plus the distance measures used for
+/// Color histograms plus the distance measures used for
 /// shot-boundary detection and key-frame clustering (Section II-B).
 
 #ifndef DIEVENT_IMAGE_HISTOGRAM_H_
@@ -20,7 +20,7 @@ struct Histogram {
 };
 
 /// True when `bins` is a valid per-channel bin count: a power of two in
-/// [1, 256]. Every histogram below requires it. A power of two divides the
+/// [1, 256]. ComputeColorHistogram requires it. A power of two divides the
 /// 256 intensity levels evenly, so no value maps past the last bin, and it
 /// makes every soft-binning weight a dyadic fraction, which is what lets the
 /// color kernel accumulate exactly in fixed point.
@@ -29,10 +29,6 @@ bool IsValidBinCount(int bins);
 /// OK when IsValidBinCount(bins); otherwise InvalidArgument naming `option`.
 /// For entry points that take a bin count from caller options.
 Status ValidateBinCount(int bins, const char* option);
-
-/// Grayscale histogram with `num_bins` equal-width bins over [0, 256).
-/// Requires IsValidBinCount(num_bins); aborts otherwise.
-Histogram ComputeGrayHistogram(const ImageU8& gray, int num_bins = 64);
 
 /// Joint color histogram with `bins_per_channel`^3 bins (coarse RGB cube).
 /// This is the frame signature used by shot-boundary detection and key-frame

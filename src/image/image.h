@@ -2,9 +2,11 @@
 /// The in-memory image type shared by the renderer, video pipeline, and
 /// vision components.
 ///
-/// Pixels are stored row-major with interleaved channels. Two instantiations
-/// are used in practice: ImageU8 (1-channel grayscale) and ImageRgb
-/// (3-channel 8-bit color frames, the 640x480 frames of the paper's rig).
+/// Pixels are stored row-major with interleaved channels. The one
+/// instantiation is Image<uint8_t>, under two names that document the
+/// channel count the type itself does not enforce: ImageU8 for 1-channel
+/// grayscale (the emotion path's face crops) and ImageRgb for 3-channel
+/// color frames (the 640x480 frames of the paper's rig).
 
 #ifndef DIEVENT_IMAGE_IMAGE_H_
 #define DIEVENT_IMAGE_IMAGE_H_
@@ -76,17 +78,11 @@ class Image {
     return at(x, y, c);
   }
 
-  /// Copies the axis-aligned window [x0, x0+w) x [y0, y0+h), clamping reads
-  /// at the border (so crops may exceed the bounds).
-  Image<T> Crop(int x0, int y0, int w, int h) const {
-    Image<T> out;
-    CropInto(x0, y0, w, h, &out);
-    return out;
-  }
-
-  /// As Crop, but reuses `out`'s storage when the size already matches —
-  /// the emotion path crops one face per observation per frame, and a
-  /// fresh allocation per crop is measurable on that hot path.
+  /// Copies the axis-aligned window [x0, x0+w) x [y0, y0+h) into `out`,
+  /// clamping reads at the border (so crops may exceed the bounds). Reuses
+  /// `out`'s storage when the size already matches — the emotion path crops
+  /// one face per observation per frame, and a fresh allocation per crop is
+  /// measurable on that hot path.
   void CropInto(int x0, int y0, int w, int h, Image<T>* out) const {
     assert(w >= 0 && h >= 0);
     out->width_ = w;
@@ -127,7 +123,6 @@ class Image {
 };
 
 using ImageU8 = Image<uint8_t>;
-using ImageF = Image<float>;
 
 /// 3-channel 8-bit color image (RGB interleaved).
 using ImageRgb = Image<uint8_t>;
@@ -156,15 +151,6 @@ inline void ToGrayInto(const ImageRgb& rgb, ImageU8* out) {
       out->at(x, y) = static_cast<uint8_t>(v + 0.5);
     }
   }
-}
-
-/// ITU-R BT.601 luma. Converts an interleaved RGB image to grayscale;
-/// 1-channel inputs are copied through.
-inline ImageU8 ToGray(const ImageRgb& rgb) {
-  if (rgb.channels() == 1) return rgb;
-  ImageU8 out;
-  ToGrayInto(rgb, &out);
-  return out;
 }
 
 /// Reads an RGB pixel from a 3-channel image.

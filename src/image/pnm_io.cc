@@ -1,6 +1,7 @@
 #include "image/pnm_io.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -10,23 +11,6 @@
 namespace dievent {
 
 namespace {
-
-Status WritePnm(const Image<uint8_t>& image, const std::string& path,
-                const char* magic, int channels) {
-  if (image.channels() != channels) {
-    return Status::InvalidArgument(
-        StrFormat("expected %d-channel image, got %d channels", channels,
-                  image.channels()));
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << magic << "\n"
-      << image.width() << " " << image.height() << "\n255\n";
-  out.write(reinterpret_cast<const char*>(image.data().data()),
-            static_cast<std::streamsize>(image.size()));
-  if (!out) return Status::IoError("short write: " + path);
-  return Status::OK();
-}
 
 /// Reads one whitespace-delimited token, skipping '#' comments. Leaves
 /// `*pos` one past the token's whitespace terminator — the byte where a
@@ -54,25 +38,55 @@ Status NextToken(std::string_view data, size_t* pos, std::string* token) {
   return Status::OK();
 }
 
-Result<Image<uint8_t>> ParsePnm(std::string_view data,
-                                const std::string& name, const char* magic,
-                                int channels) {
+/// Parses a header field as a whole decimal integer: a token with any
+/// character left over ("2x", "+3", "1e3") is rejected, not read as its
+/// numeric prefix.
+Status ParseHeaderField(const std::string& token, int* value) {
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, *value);
+  if (ec != std::errc() || ptr != end) {
+    return Status::Corruption("non-numeric PNM header field: " + token);
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status WritePpm(const ImageRgb& image, const std::string& path) {
+  if (image.channels() != 3) {
+    return Status::InvalidArgument(StrFormat(
+        "expected 3-channel image, got %d channels", image.channels()));
+  }
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return Status::IoError("cannot open for writing: " + path);
+  out << "P6\n" << image.width() << " " << image.height() << "\n255\n";
+  out.write(reinterpret_cast<const char*>(image.data().data()),
+            static_cast<std::streamsize>(image.size()));
+  if (!out) return Status::IoError("short write: " + path);
+  return Status::OK();
+}
+
+Result<ImageRgb> ReadPpm(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IoError("cannot open for reading: " + path);
+  std::string data((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  if (in.bad()) return Status::IoError("read failed: " + path);
+  return ParsePpm(data, path);
+}
+
+Result<ImageRgb> ParsePpm(std::string_view data, const std::string& name) {
   size_t pos = 0;
   std::string tok;
   DIEVENT_RETURN_NOT_OK(NextToken(data, &pos, &tok));
-  if (tok != magic) {
-    return Status::Corruption(
-        StrFormat("bad magic '%s' in %s (want %s)", tok.c_str(),
-                  name.c_str(), magic));
+  if (tok != "P6") {
+    return Status::Corruption(StrFormat("bad magic '%s' in %s (want P6)",
+                                        tok.c_str(), name.c_str()));
   }
   int dims[3];
   for (int& d : dims) {
     DIEVENT_RETURN_NOT_OK(NextToken(data, &pos, &tok));
-    try {
-      d = std::stoi(tok);
-    } catch (...) {
-      return Status::Corruption("non-numeric PNM header field: " + tok);
-    }
+    DIEVENT_RETURN_NOT_OK(ParseHeaderField(tok, &d));
   }
   if (dims[0] <= 0 || dims[1] <= 0 || dims[2] != 255) {
     return Status::Corruption("unsupported PNM dimensions/maxval");
@@ -86,48 +100,12 @@ Result<Image<uint8_t>> ParsePnm(std::string_view data,
         StrFormat("implausible PNM dimensions %dx%d in %s", dims[0],
                   dims[1], name.c_str()));
   }
-  Image<uint8_t> img(dims[0], dims[1], channels);
+  ImageRgb img(dims[0], dims[1], 3);
   if (data.size() - pos < img.size()) {
     return Status::Corruption("truncated PNM payload: " + name);
   }
   std::memcpy(img.data().data(), data.data() + pos, img.size());
   return img;
-}
-
-Result<Image<uint8_t>> ReadPnm(const std::string& path, const char* magic,
-                               int channels) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IoError("read failed: " + path);
-  return ParsePnm(data, path, magic, channels);
-}
-
-}  // namespace
-
-Status WritePgm(const ImageU8& image, const std::string& path) {
-  return WritePnm(image, path, "P5", 1);
-}
-
-Status WritePpm(const ImageRgb& image, const std::string& path) {
-  return WritePnm(image, path, "P6", 3);
-}
-
-Result<ImageU8> ReadPgm(const std::string& path) {
-  return ReadPnm(path, "P5", 1);
-}
-
-Result<ImageRgb> ReadPpm(const std::string& path) {
-  return ReadPnm(path, "P6", 3);
-}
-
-Result<ImageU8> ParsePgm(std::string_view data, const std::string& name) {
-  return ParsePnm(data, name, "P5", 1);
-}
-
-Result<ImageRgb> ParsePpm(std::string_view data, const std::string& name) {
-  return ParsePnm(data, name, "P6", 3);
 }
 
 }  // namespace dievent

@@ -1,9 +1,10 @@
 /// \file pnm_io.h
-/// Binary PGM (P5) / PPM (P6) reading and writing.
+/// Binary PPM (P6) reading and writing.
 ///
-/// PNM is the only on-disk image format DiEvent needs: it lets examples dump
-/// rendered frames and look-at maps for inspection without any codec
-/// dependency.
+/// PPM is the only on-disk image format DiEvent needs: examples dump
+/// rendered frames and look-at maps for inspection, and
+/// ImageSequenceSource reads real footage decoded to numbered PPM frames,
+/// all without any codec dependency.
 
 #ifndef DIEVENT_IMAGE_PNM_IO_H_
 #define DIEVENT_IMAGE_PNM_IO_H_
@@ -16,24 +17,15 @@
 
 namespace dievent {
 
-/// Writes a 1-channel image as binary PGM.
-Status WritePgm(const ImageU8& image, const std::string& path);
-
 /// Writes a 3-channel image as binary PPM.
 Status WritePpm(const ImageRgb& image, const std::string& path);
-
-/// Reads a binary PGM into a 1-channel image.
-Result<ImageU8> ReadPgm(const std::string& path);
 
 /// Reads a binary PPM into a 3-channel image.
 Result<ImageRgb> ReadPpm(const std::string& path);
 
-/// Parses a binary PGM from an in-memory buffer. `name` appears in
+/// Parses a binary PPM from an in-memory buffer. `name` appears in
 /// error messages (typically the originating path). Lets callers that
 /// read bytes through an injectable FileSystem reuse the real decoder.
-Result<ImageU8> ParsePgm(std::string_view data, const std::string& name);
-
-/// Parses a binary PPM from an in-memory buffer.
 Result<ImageRgb> ParsePpm(std::string_view data, const std::string& name);
 
 }  // namespace dievent

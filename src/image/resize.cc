@@ -6,14 +6,12 @@
 
 namespace dievent {
 
-namespace {
-
-void ResizeImplInto(const Image<uint8_t>& in, int nw, int nh,
-                    Image<uint8_t>* out) {
-  assert(nw > 0 && nh > 0 && !in.empty() && out != &in);
-  out->Reshape(nw, nh, in.channels());
-  const double sx = static_cast<double>(in.width()) / nw;
-  const double sy = static_cast<double>(in.height()) / nh;
+void ResizeBilinearInto(const ImageU8& gray, int nw, int nh, ImageU8* out) {
+  assert(gray.channels() == 1);
+  assert(nw > 0 && nh > 0 && !gray.empty() && out != &gray);
+  out->Reshape(nw, nh, 1);
+  const double sx = static_cast<double>(gray.width()) / nw;
+  const double sy = static_cast<double>(gray.height()) / nh;
   for (int y = 0; y < nh; ++y) {
     double fy = (y + 0.5) * sy - 0.5;
     int y0 = static_cast<int>(std::floor(fy));
@@ -22,38 +20,15 @@ void ResizeImplInto(const Image<uint8_t>& in, int nw, int nh,
       double fx = (x + 0.5) * sx - 0.5;
       int x0 = static_cast<int>(std::floor(fx));
       double wx = fx - x0;
-      for (int c = 0; c < in.channels(); ++c) {
-        double v00 = in.AtClamped(x0, y0, c);
-        double v10 = in.AtClamped(x0 + 1, y0, c);
-        double v01 = in.AtClamped(x0, y0 + 1, c);
-        double v11 = in.AtClamped(x0 + 1, y0 + 1, c);
-        double v = v00 * (1 - wx) * (1 - wy) + v10 * wx * (1 - wy) +
-                   v01 * (1 - wx) * wy + v11 * wx * wy;
-        out->at(x, y, c) =
-            static_cast<uint8_t>(std::clamp(v, 0.0, 255.0) + 0.5);
-      }
+      double v00 = gray.AtClamped(x0, y0);
+      double v10 = gray.AtClamped(x0 + 1, y0);
+      double v01 = gray.AtClamped(x0, y0 + 1);
+      double v11 = gray.AtClamped(x0 + 1, y0 + 1);
+      double v = v00 * (1 - wx) * (1 - wy) + v10 * wx * (1 - wy) +
+                 v01 * (1 - wx) * wy + v11 * wx * wy;
+      out->at(x, y) = static_cast<uint8_t>(std::clamp(v, 0.0, 255.0) + 0.5);
     }
   }
-}
-
-}  // namespace
-
-ImageU8 ResizeBilinear(const ImageU8& gray, int nw, int nh) {
-  ImageU8 out;
-  ResizeBilinearInto(gray, nw, nh, &out);
-  return out;
-}
-
-void ResizeBilinearInto(const ImageU8& gray, int nw, int nh, ImageU8* out) {
-  assert(gray.channels() == 1);
-  ResizeImplInto(gray, nw, nh, out);
-}
-
-ImageRgb ResizeBilinearRgb(const ImageRgb& rgb, int nw, int nh) {
-  assert(rgb.channels() == 3);
-  ImageRgb out;
-  ResizeImplInto(rgb, nw, nh, &out);
-  return out;
 }
 
 }  // namespace dievent

@@ -1,5 +1,6 @@
 /// \file resize.h
-/// Image resampling for multi-scale detection and feature normalization.
+/// Bilinear resampling, which normalizes face crops to the emotion
+/// classifier's input size.
 
 #ifndef DIEVENT_IMAGE_RESIZE_H_
 #define DIEVENT_IMAGE_RESIZE_H_
@@ -8,17 +9,11 @@
 
 namespace dievent {
 
-/// Bilinear resampling of a 1-channel image to the given size.
-ImageU8 ResizeBilinear(const ImageU8& gray, int new_width, int new_height);
-
-/// As ResizeBilinear, but writes into `out` (must not alias `gray`),
-/// reusing its storage — for per-frame scratch on the emotion path.
+/// Bilinear resampling of a 1-channel image to the given size, written
+/// into `out` (must not alias `gray`) and reusing its storage — for
+/// per-frame scratch on the emotion path.
 void ResizeBilinearInto(const ImageU8& gray, int new_width, int new_height,
                         ImageU8* out);
-
-/// Bilinear resampling of a 3-channel image to the given size.
-ImageRgb ResizeBilinearRgb(const ImageRgb& rgb, int new_width,
-                           int new_height);
 
 }  // namespace dievent
 

@@ -37,12 +37,6 @@ const std::array<int, 256>& UniformTable() {
 
 }  // namespace
 
-ImageU8 ComputeLbpCodes(const ImageU8& gray) {
-  ImageU8 out;
-  ComputeLbpCodesInto(gray, &out);
-  return out;
-}
-
 void ComputeLbpCodesInto(const ImageU8& gray, ImageU8* out) {
   assert(gray.channels() == 1);
   out->Reshape(gray.width(), gray.height());
@@ -53,25 +47,6 @@ void ComputeLbpCodesInto(const ImageU8& gray, ImageU8* out) {
 }
 
 int UniformLbpBin(uint8_t code) { return UniformTable()[code]; }
-
-std::vector<float> LbpHistogram(const ImageU8& gray) {
-  ImageU8 codes = ComputeLbpCodes(gray);
-  std::vector<float> hist(kUniformLbpBins, 0.0f);
-  for (uint8_t c : codes.data()) hist[UniformLbpBin(c)] += 1.0f;
-  float total = static_cast<float>(codes.size());
-  if (total > 0) {
-    for (float& v : hist) v /= total;
-  }
-  return hist;
-}
-
-std::vector<float> LbpGridFeatures(const ImageU8& gray, int grid_x,
-                                   int grid_y) {
-  ImageU8 codes;
-  std::vector<float> features;
-  LbpGridFeaturesInto(gray, grid_x, grid_y, &codes, &features);
-  return features;
-}
 
 void LbpGridFeaturesInto(const ImageU8& gray, int grid_x, int grid_y,
                          ImageU8* codes_scratch,

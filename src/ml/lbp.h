@@ -20,29 +20,21 @@ namespace dievent {
 /// Number of bins of a uniform-LBP histogram (58 uniform + 1 non-uniform).
 inline constexpr int kUniformLbpBins = 59;
 
-/// Per-pixel LBP(8,1) codes. Border pixels use clamped neighbours.
-ImageU8 ComputeLbpCodes(const ImageU8& gray);
-
-/// As ComputeLbpCodes, but writes into `out`, reusing its storage — the
-/// emotion path computes codes for one crop per face per frame, and the
-/// per-call allocation is measurable there.
+/// Per-pixel LBP(8,1) codes, written into `out` and reusing its storage
+/// (the emotion path computes codes for one crop per face per frame, and
+/// a per-call allocation is measurable there). Border pixels use clamped
+/// neighbours.
 void ComputeLbpCodesInto(const ImageU8& gray, ImageU8* out);
 
 /// Maps a raw 8-bit LBP code to its uniform-pattern bin in [0, 59).
 int UniformLbpBin(uint8_t code);
 
-/// Normalized uniform-LBP histogram of a whole (sub)image.
-std::vector<float> LbpHistogram(const ImageU8& gray);
-
 /// Concatenated, per-cell-normalized uniform-LBP histograms over a
 /// grid_x x grid_y partition of the image — the feature vector fed to the
-/// emotion classifier. Length: grid_x * grid_y * kUniformLbpBins.
-std::vector<float> LbpGridFeatures(const ImageU8& gray, int grid_x,
-                                   int grid_y);
-
-/// As LbpGridFeatures, but reuses caller-owned scratch: `codes_scratch`
-/// holds the per-pixel code image and `features` is overwritten (resized
-/// to grid_x * grid_y * kUniformLbpBins). Zero steady-state allocations.
+/// emotion classifier. `codes_scratch` holds the per-pixel code image and
+/// `features` is overwritten (resized to grid_x * grid_y *
+/// kUniformLbpBins); both reuse their storage, so the steady state makes
+/// no allocations.
 void LbpGridFeaturesInto(const ImageU8& gray, int grid_x, int grid_y,
                          ImageU8* codes_scratch, std::vector<float>* features);
 

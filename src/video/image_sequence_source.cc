@@ -1,9 +1,36 @@
 #include "video/image_sequence_source.h"
 
+#include <cctype>
+
 #include "common/strings.h"
 #include "image/pnm_io.h"
 
 namespace dievent {
+
+namespace {
+
+/// True when `pattern` is safe to hand to printf with one int argument:
+/// exactly one %d conversion, optionally with a width of at most two
+/// digits (%04d), and no other conversion apart from %% for a literal %.
+bool IsFramePattern(const std::string& pattern) {
+  int conversions = 0;
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    if (pattern[i] != '%') continue;
+    if (++i < pattern.size() && pattern[i] == '%') continue;
+    const size_t width_start = i;
+    while (i < pattern.size() &&
+           std::isdigit(static_cast<unsigned char>(pattern[i]))) {
+      ++i;
+    }
+    if (i == pattern.size() || pattern[i] != 'd' || i - width_start > 2) {
+      return false;
+    }
+    ++conversions;
+  }
+  return conversions == 1;
+}
+
+}  // namespace
 
 std::string ImageSequenceSource::FramePath(int index) const {
   return StrFormat(pattern_.c_str(), first_index_ + index);
@@ -14,10 +41,11 @@ Result<ImageSequenceSource> ImageSequenceSource::Open(
     FileSystem* fs) {
   if (fs == nullptr) fs = FileSystem::Default();
   if (fps <= 0) return Status::InvalidArgument("fps must be positive");
-  if (pattern.find("%d") == std::string::npos &&
-      pattern.find("%0") == std::string::npos) {
+  if (!IsFramePattern(pattern)) {
     return Status::InvalidArgument(
-        "pattern must contain a %d-style frame placeholder: " + pattern);
+        "pattern must contain exactly one %d-style frame placeholder (%d "
+        "or %0Nd; write %% for a literal %): " +
+        pattern);
   }
   ImageSequenceSource probe(pattern, fps, first_index, 0, fs);
   if (!fs->Exists(probe.FramePath(0))) {

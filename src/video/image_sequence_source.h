@@ -16,11 +16,14 @@
 namespace dievent {
 
 /// Streams frames from `pattern`, a printf-style path with one %d (e.g.
-/// "frames/cam1_%06d.ppm"), indices starting at `first_index`.
+/// "frames/cam1_%06d.ppm"), indices starting at `first_index`. The
+/// placeholder may carry a width of up to two digits; %% is a literal %,
+/// and any other conversion is rejected.
 class ImageSequenceSource : public VideoSource {
  public:
   /// Scans for consecutive files matching the pattern and fixes the frame
-  /// count up front. Fails when no frame exists at `first_index`.
+  /// count up front. Returns InvalidArgument for a pattern that is not of
+  /// the shape above and NotFound when no frame exists at `first_index`.
   /// `fs` is the filesystem every read goes through (null = the real
   /// one); tests inject a FaultyFileSystem so mid-read I/O errors and
   /// short reads exercise the real decoder failure paths.

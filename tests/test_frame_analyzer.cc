@@ -91,9 +91,23 @@ TEST(FrameAnalyzer, CameraSubsetWorks) {
 }
 
 TEST(ImageSequenceSource, OpenValidates) {
-  EXPECT_FALSE(ImageSequenceSource::Open("no_placeholder.ppm", 10).ok());
-  EXPECT_FALSE(
-      ImageSequenceSource::Open("/nope/frame_%04d.ppm", 10).ok());
+  // The pattern goes to printf with one int argument, so anything but
+  // exactly one %d / %0Nd conversion (plus literal %%) is rejected before
+  // it is formatted.
+  for (const char* pattern :
+       {"no_placeholder.ppm", "cam_%s_%d.ppm", "%d_%d.ppm", "%0s%d",
+        "f_%%d.ppm", "f_%-4d.ppm", "f_%ld.ppm", "f_%123d.ppm", "f_%d%"}) {
+    EXPECT_EQ(ImageSequenceSource::Open(pattern, 10).status().code(),
+              StatusCode::kInvalidArgument)
+        << pattern;
+  }
+  // Well-formed patterns get as far as looking for the first frame.
+  for (const char* pattern :
+       {"/nope/frame_%04d.ppm", "/nope/100%%_%d.ppm", "/nope/%d"}) {
+    EXPECT_EQ(ImageSequenceSource::Open(pattern, 10).status().code(),
+              StatusCode::kNotFound)
+        << pattern;
+  }
   EXPECT_FALSE(ImageSequenceSource::Open("f_%d.ppm", 0.0).ok());
 }
 

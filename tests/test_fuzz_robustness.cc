@@ -83,17 +83,16 @@ TEST(FuzzRobustness, PnmReaderSurvivesRandomBytes) {
   Rng rng(73);
   for (int trial = 0; trial < 40; ++trial) {
     std::string path =
-        WriteRandomFile("fuzz_img.pgm", 1 + rng.NextBelow(2048), &rng);
-    (void)ReadPgm(path);
+        WriteRandomFile("fuzz_img.ppm", 1 + rng.NextBelow(2048), &rng);
     (void)ReadPpm(path);
   }
   // Header-shaped prefixes with lying dimensions.
   for (const char* header :
-       {"P5\n999999999 999999999\n255\n", "P5\n-3 5\n255\n",
-        "P6\n2 2\n255\nab", "P5\n\n\n"}) {
-    std::string path = testing::TempDir() + "/fuzz_hdr.pgm";
+       {"P6\n999999999 999999999\n255\n", "P6\n-3 5\n255\n",
+        "P6\n2 2\n255\nab", "P6\n\n\n"}) {
+    std::string path = testing::TempDir() + "/fuzz_hdr.ppm";
     std::ofstream(path, std::ios::binary) << header;
-    EXPECT_FALSE(ReadPgm(path).ok()) << header;
+    EXPECT_FALSE(ReadPpm(path).ok()) << header;
   }
 }
 

@@ -142,27 +142,6 @@ TEST(HistogramBinCountDeathTest, NonPowerOfTwoAbortsInsteadOfOverrunning) {
   ImageRgb rgb(2, 2, 3);
   rgb.Fill(255);
   EXPECT_DEATH(ComputeColorHistogram(rgb, 3), "bins_per_channel 3");
-  ImageU8 gray(2, 2);
-  gray.Fill(255);
-  EXPECT_DEATH(ComputeGrayHistogram(gray, 3), "num_bins 3");
-}
-
-TEST(GrayHistogram, NormalizedAndBinned) {
-  ImageU8 img(10, 10);
-  img.Fill(0);
-  Histogram h = ComputeGrayHistogram(img, 64);
-  ASSERT_EQ(h.NumBins(), 64);
-  EXPECT_DOUBLE_EQ(h.bins[0], 1.0);
-  for (int i = 1; i < 64; ++i) EXPECT_DOUBLE_EQ(h.bins[i], 0.0);
-}
-
-TEST(GrayHistogram, SplitsBetweenBins) {
-  ImageU8 img(2, 1);
-  img.at(0, 0) = 0;
-  img.at(1, 0) = 255;
-  Histogram h = ComputeGrayHistogram(img, 4);
-  EXPECT_DOUBLE_EQ(h.bins[0], 0.5);
-  EXPECT_DOUBLE_EQ(h.bins[3], 0.5);
 }
 
 TEST(ColorHistogram, JointBinsSumToOne) {

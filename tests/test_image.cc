@@ -63,7 +63,8 @@ TEST(Image, CropCopiesWindow) {
   for (int y = 0; y < 4; ++y)
     for (int x = 0; x < 4; ++x)
       img.at(x, y) = static_cast<uint8_t>(y * 4 + x);
-  ImageU8 crop = img.Crop(1, 1, 2, 2);
+  ImageU8 crop;
+  img.CropInto(1, 1, 2, 2, &crop);
   EXPECT_EQ(crop.width(), 2);
   EXPECT_EQ(crop.at(0, 0), 5);
   EXPECT_EQ(crop.at(1, 1), 10);
@@ -72,7 +73,8 @@ TEST(Image, CropCopiesWindow) {
 TEST(Image, CropClampsOutOfBounds) {
   ImageU8 img(2, 2);
   img.at(1, 1) = 9;
-  ImageU8 crop = img.Crop(1, 1, 3, 3);
+  ImageU8 crop;
+  img.CropInto(1, 1, 3, 3, &crop);
   EXPECT_EQ(crop.width(), 3);
   // Everything clamps to the (1,1) corner value.
   for (uint8_t v : crop.data()) EXPECT_EQ(v, 9);
@@ -89,12 +91,16 @@ TEST(Image, EqualityIsDeep) {
 
 TEST(ToGray, UsesBt601Weights) {
   ImageRgb img(1, 1, 3);
+  ImageU8 gray;
   PutRgb(&img, 0, 0, Rgb{255, 0, 0});
-  EXPECT_EQ(ToGray(img).at(0, 0), 76);  // 0.299 * 255 rounded
+  ToGrayInto(img, &gray);
+  EXPECT_EQ(gray.at(0, 0), 76);  // 0.299 * 255 rounded
   PutRgb(&img, 0, 0, Rgb{0, 255, 0});
-  EXPECT_EQ(ToGray(img).at(0, 0), 150);
+  ToGrayInto(img, &gray);
+  EXPECT_EQ(gray.at(0, 0), 150);
   PutRgb(&img, 0, 0, Rgb{255, 255, 255});
-  EXPECT_EQ(ToGray(img).at(0, 0), 255);
+  ToGrayInto(img, &gray);
+  EXPECT_EQ(gray.at(0, 0), 255);
 }
 
 TEST(PutRgb, OutOfBoundsIsNoop) {

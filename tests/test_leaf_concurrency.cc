@@ -74,9 +74,10 @@ ViewResult AnalyzeView(const ImageRgb& frame, const FaceDetector& detector,
     // The pipeline's crop geometry: face radius = 0.46 * crop size.
     const double half = det.radius_px / 0.92;
     const int size = std::max(8, static_cast<int>(2.0 * half));
-    ImageRgb crop = frame.Crop(static_cast<int>(det.center_px.x - half),
-                               static_cast<int>(det.center_px.y - half),
-                               size, size);
+    ImageRgb crop;
+    frame.CropInto(static_cast<int>(det.center_px.x - half),
+                   static_cast<int>(det.center_px.y - half), size, size,
+                   &crop);
     out.emotions.push_back(emotions.Recognize(crop).class_probabilities);
   }
   return out;

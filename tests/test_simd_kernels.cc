@@ -52,8 +52,9 @@ TEST(SimdMatVec, ExhaustiveSmallShapes) {
       simd::MatVecScalar(w.data(), bias.data(), x.data(), in, out_n,
                          ref.data());
       simd::MatVec(w.data(), bias.data(), x.data(), in, out_n, got.data());
-      ASSERT_EQ(0, std::memcmp(ref.data(), got.data(),
-                               out_n * sizeof(float)))
+      // memcmp must not see the null data() of an empty vector.
+      ASSERT_TRUE(out_n == 0 || std::memcmp(ref.data(), got.data(),
+                                            out_n * sizeof(float)) == 0)
           << "in=" << in << " out=" << out_n;
     }
   }
@@ -137,32 +138,6 @@ TEST(SimdLbp, ConstantAndExtremeImages) {
   }
 }
 
-void CheckIntegralRow(int w, uint32_t seed, uint8_t fill = 0,
-                      bool use_fill = false) {
-  XorShift rng(seed);
-  std::vector<uint8_t> src(w);
-  std::vector<uint32_t> prev(w);
-  for (auto& v : src) v = use_fill ? fill : rng.NextByte();
-  for (auto& v : prev) v = rng.Next() % 1000000;
-  std::vector<uint32_t> ref(w, 1), got(w, 2);
-  simd::IntegralRowScalar(src.data(), prev.data(), ref.data(), w);
-  simd::IntegralRow(src.data(), prev.data(), got.data(), w);
-  ASSERT_EQ(0, std::memcmp(ref.data(), got.data(), w * sizeof(uint32_t)))
-      << "w=" << w;
-}
-
-TEST(SimdIntegralRow, ExhaustiveSmallWidths) {
-  for (int w = 1; w <= 40; ++w) CheckIntegralRow(w, 41 + w);
-}
-
-TEST(SimdIntegralRow, LargeWidthsAndSaturation) {
-  CheckIntegralRow(640, 43);
-  CheckIntegralRow(1280, 47);
-  CheckIntegralRow(639, 53);  // 16-tail of 15
-  // All-255 rows exercise the widest partial sums in the u16 scan.
-  CheckIntegralRow(640, 0, 255, true);
-}
-
 void CheckColorMasks(size_t n_px, int a_tol, int b_tol, uint32_t seed,
                      int spread = 64) {
   XorShift rng(seed);
@@ -176,8 +151,11 @@ void CheckColorMasks(size_t n_px, int a_tol, int b_tol, uint32_t seed,
                           50, b_tol, ra.data(), rb.data());
   simd::ColorMasks2(rgb.data(), n_px, 130, 120, 110, a_tol, 70, 60, 50,
                     b_tol, ga.data(), gb.data());
-  ASSERT_EQ(0, std::memcmp(ra.data(), ga.data(), n_px)) << "n=" << n_px;
-  ASSERT_EQ(0, std::memcmp(rb.data(), gb.data(), n_px)) << "n=" << n_px;
+  // memcmp must not see the null data() of an empty vector.
+  ASSERT_TRUE(n_px == 0 || std::memcmp(ra.data(), ga.data(), n_px) == 0)
+      << "n=" << n_px;
+  ASSERT_TRUE(n_px == 0 || std::memcmp(rb.data(), gb.data(), n_px) == 0)
+      << "n=" << n_px;
 }
 
 TEST(SimdColorMasks, ExhaustiveSmallCounts) {
