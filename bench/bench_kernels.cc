@@ -5,11 +5,12 @@
 //
 // `bench_kernels --perf_smoke=PATH` verifies the kernels' bit-identical
 // equivalence contract (simd::SelfCheck), measures each kernel scalar vs
-// dispatched (best of 3), gates on a per-kernel speedup floor when a
-// vectorized backend is compiled in, and writes PATH as JSON. Wired into
-// the `perf-smoke` CMake target; BENCH_kernels.json at the repo root is
-// the committed snapshot — per-kernel history makes a pipeline perf
-// regression attributable to a specific loop.
+// dispatched (best of 5, the two paths' runs interleaved), gates on a
+// per-kernel speedup floor when a vectorized backend is compiled in, and
+// writes PATH as JSON. Wired into the `perf-smoke` CMake target;
+// BENCH_kernels.json at the repo root is the committed snapshot —
+// per-kernel history makes a pipeline perf regression attributable to a
+// specific loop.
 
 #include <benchmark/benchmark.h>
 
@@ -261,17 +262,32 @@ void BM_Kernel(benchmark::State& state, const Kernel& kernel,
 
 // --- perf smoke ----------------------------------------------------------
 
-double MeasureBatchSeconds(const Kernel& kernel, bool simd_path) {
-  // Warm-up pass (page in buffers, settle frequency), then best of 3.
+double TimeOneBatch(const Kernel& kernel, bool simd_path) {
+  auto start = std::chrono::steady_clock::now();  // lint: allow(steady-clock): measures real wall time
   kernel.run(simd_path);
-  double best = 0;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    auto start = std::chrono::steady_clock::now();  // lint: allow(steady-clock): measures real wall time
-    kernel.run(simd_path);
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)  // lint: allow(steady-clock): measures real wall time
-                      .count();
-    if (best == 0 || wall < best) best = wall;
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now() - start)  // lint: allow(steady-clock): measures real wall time
+      .count();
+}
+
+struct BatchSeconds {
+  double scalar = 0, simd = 0;
+};
+
+/// Best of kRuns batches per path, with the scalar and SIMD runs
+/// interleaved so a burst of host noise (CPU steal, a frequency change)
+/// lands on both paths instead of skewing one side of the ratio.
+BatchSeconds MeasureBatchSeconds(const Kernel& kernel) {
+  constexpr int kRuns = 5;
+  // Warm-up pass (page in buffers, settle frequency).
+  kernel.run(false);
+  kernel.run(true);
+  BatchSeconds best;
+  for (int attempt = 0; attempt < kRuns; ++attempt) {
+    const double scalar = TimeOneBatch(kernel, false);
+    const double simd = TimeOneBatch(kernel, true);
+    if (attempt == 0 || scalar < best.scalar) best.scalar = scalar;
+    if (attempt == 0 || simd < best.simd) best.simd = simd;
   }
   return best;
 }
@@ -299,11 +315,10 @@ int RunPerfSmoke(const std::string& path) {
   std::vector<Row> rows;
   bool pass = true;
   for (const Kernel& kernel : kKernels) {
-    const double scalar_s = MeasureBatchSeconds(kernel, false);
-    const double simd_s = MeasureBatchSeconds(kernel, true);
-    const double speedup = scalar_s / simd_s;
+    const BatchSeconds t = MeasureBatchSeconds(kernel);
+    const double speedup = t.scalar / t.simd;
     rows.push_back(
-        Row{kernel.name, scalar_s * 1e3, simd_s * 1e3, speedup, kernel.floor});
+        Row{kernel.name, t.scalar * 1e3, t.simd * 1e3, speedup, kernel.floor});
     if (gated && speedup < kernel.floor) pass = false;
   }
 
@@ -330,7 +345,8 @@ int RunPerfSmoke(const std::string& path) {
       .Add("gated", gated)
       .Add("pass", pass)
       .Add("note",
-           "scalar/simd ms per work batch, best of 3; outputs are "
+           "scalar/simd ms per work batch, best of 5 interleaved "
+           "scalar/simd runs; outputs are "
            "bit-identical across backends (simd::SelfCheck + "
            "test_simd_kernels); floors apply per kernel and only when a "
            "vectorized backend is compiled in");

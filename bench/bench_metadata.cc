@@ -175,17 +175,8 @@ LookAtRecord BenchRecord(int f) {
 void BM_JournalAppend(benchmark::State& state) {
   const std::string dir = "/tmp/dievent_bench_store";
   JournalOptions jopt;
-  switch (state.range(0)) {
-    case 0:
-      jopt.fsync = FsyncPolicy::kEveryRecord;
-      break;
-    case 1:
-      jopt.fsync = FsyncPolicy::kEveryN;
-      break;
-    default:
-      jopt.fsync = FsyncPolicy::kNever;
-      break;
-  }
+  jopt.fsync =
+      state.range(0) == 0 ? FsyncPolicy::kEveryRecord : FsyncPolicy::kNever;
   for (auto _ : state) {
     state.PauseTiming();
     WipeDir(dir);
@@ -208,11 +199,9 @@ void BM_JournalAppend(benchmark::State& state) {
     state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * 1000);
-  state.SetLabel(state.range(0) == 0   ? "fsync=every"
-                 : state.range(0) == 1 ? "fsync=every32"
-                                       : "fsync=never");
+  state.SetLabel(state.range(0) == 0 ? "fsync=every" : "fsync=never");
 }
-BENCHMARK(BM_JournalAppend)->Arg(0)->Arg(1)->Arg(2)
+BENCHMARK(BM_JournalAppend)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 /// Checkpoint cost: fold a journal of `range(0)` records into a
@@ -223,7 +212,7 @@ void BM_Checkpoint(benchmark::State& state) {
     state.PauseTiming();
     WipeDir(dir);
     DurableStoreOptions opt;
-    opt.journal.fsync = FsyncPolicy::kEveryN;
+    opt.journal.fsync = FsyncPolicy::kNever;
     auto store = DurableEventStore::Open(dir, opt);
     if (!store.ok()) {
       state.SkipWithError("open failed");

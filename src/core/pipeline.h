@@ -232,7 +232,9 @@ struct DegradationStats {
   long long deadline_relaxed = 0;    ///< deadline backed off after misses
 
   // Durability (populated when PipelineOptions::store is attached).
-  long long journal_records = 0;  ///< records acknowledged durable
+  /// Journal frames acknowledged durable (DurableStoreStats::
+  /// records_appended): one per store mutation, one per kRecBatch chunk.
+  long long journal_records = 0;
   long long journal_bytes = 0;    ///< framed journal bytes written
   int checkpoints_committed = 0;  ///< snapshots folded during the run
   int resumed_from_frame = -1;    ///< last durable frame resumed after (-1 = fresh)

@@ -79,50 +79,11 @@ Status JournalWriter::OpenSegment(uint32_t index) {
   PutU32(&header, Crc32Mask(Crc32(header.data(), header.size())));
   DIEVENT_RETURN_NOT_OK(file_->Append(header));
   segment_bytes_ = header.size();
-  unsynced_records_ = 0;
+  unsynced_ = false;
   // Make the segment itself durable before any record relies on it.
   if (options_.fsync != FsyncPolicy::kNever) {
     DIEVENT_RETURN_NOT_OK(file_->Sync());
     DIEVENT_RETURN_NOT_OK(fs_->SyncDir(dir_));
-  }
-  return Status::OK();
-}
-
-Status JournalWriter::Append(std::string_view payload) {
-  if (file_ == nullptr) {
-    return Status::FailedPrecondition("journal writer is closed");
-  }
-  if (payload.size() > kMaxRecordBytes) {
-    return Status::InvalidArgument(
-        StrFormat("journal record too large: %zu bytes", payload.size()));
-  }
-  if (segment_bytes_ >= options_.rotate_bytes) {
-    if (options_.fsync != FsyncPolicy::kNever && unsynced_records_ > 0) {
-      DIEVENT_RETURN_NOT_OK(Sync());
-    }
-    DIEVENT_RETURN_NOT_OK(file_->Close());
-    DIEVENT_RETURN_NOT_OK(OpenSegment(segment_index_ + 1));
-  }
-
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32Mask(Crc32(payload.data(), payload.size())));
-  frame.append(payload.data(), payload.size());
-  DIEVENT_RETURN_NOT_OK(file_->Append(frame));
-  segment_bytes_ += frame.size();
-  bytes_appended_ += frame.size();
-  ++records_appended_;
-  ++unsynced_records_;
-
-  switch (options_.fsync) {
-    case FsyncPolicy::kEveryRecord:
-      return Sync();
-    case FsyncPolicy::kEveryN:
-      if (unsynced_records_ >= options_.sync_every) return Sync();
-      return Status::OK();
-    case FsyncPolicy::kNever:
-      return Status::OK();
   }
   return Status::OK();
 }
@@ -142,7 +103,7 @@ Status JournalWriter::AppendBatch(
     total += kFrameHeaderBytes + p.size();
   }
   if (segment_bytes_ >= options_.rotate_bytes) {
-    if (options_.fsync != FsyncPolicy::kNever && unsynced_records_ > 0) {
+    if (options_.fsync != FsyncPolicy::kNever && unsynced_) {
       DIEVENT_RETURN_NOT_OK(Sync());
     }
     DIEVENT_RETURN_NOT_OK(file_->Close());
@@ -160,18 +121,8 @@ Status JournalWriter::AppendBatch(
   segment_bytes_ += buf.size();
   bytes_appended_ += buf.size();
   records_appended_ += payloads.size();
-  unsynced_records_ += static_cast<int>(payloads.size());
-
-  switch (options_.fsync) {
-    case FsyncPolicy::kEveryRecord:
-      return Sync();
-    case FsyncPolicy::kEveryN:
-      if (unsynced_records_ >= options_.sync_every) return Sync();
-      return Status::OK();
-    case FsyncPolicy::kNever:
-      return Status::OK();
-  }
-  return Status::OK();
+  unsynced_ = true;
+  return options_.fsync == FsyncPolicy::kEveryRecord ? Sync() : Status::OK();
 }
 
 Status JournalWriter::Sync() {
@@ -179,13 +130,13 @@ Status JournalWriter::Sync() {
     return Status::FailedPrecondition("journal writer is closed");
   }
   DIEVENT_RETURN_NOT_OK(file_->Sync());
-  unsynced_records_ = 0;
+  unsynced_ = false;
   return Status::OK();
 }
 
 Status JournalWriter::Close() {
   if (file_ == nullptr) return Status::OK();
-  if (options_.fsync != FsyncPolicy::kNever && unsynced_records_ > 0) {
+  if (options_.fsync != FsyncPolicy::kNever && unsynced_) {
     DIEVENT_RETURN_NOT_OK(file_->Sync());
   }
   Status s = file_->Close();

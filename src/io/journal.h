@@ -38,14 +38,11 @@ namespace dievent {
 /// When appended records are fsynced — the durability/throughput knob.
 enum class FsyncPolicy {
   kEveryRecord,  ///< fsync after every append; ack == durable
-  kEveryN,       ///< fsync every `sync_every` records (bounded loss)
   kNever,        ///< leave it to the OS; crash may lose the whole tail
 };
 
 struct JournalOptions {
   FsyncPolicy fsync = FsyncPolicy::kEveryRecord;
-  /// Records between fsyncs under kEveryN.
-  int sync_every = 32;
   /// A segment is rotated once it grows past this many bytes.
   uint64_t rotate_bytes = 4ull << 20;
 };
@@ -65,16 +62,11 @@ class JournalWriter {
       FileSystem* fs, const std::string& dir, uint32_t segment_index,
       const JournalOptions& options);
 
-  /// Appends one record and applies the fsync policy. On OK the record
-  /// is durable per policy.
-  Status Append(std::string_view payload);
-
   /// Appends every payload as its own framed record with ONE buffered
-  /// write and at most one fsync — the batched-ingest fast path. Under
-  /// kEveryRecord the whole batch is durable on OK; the per-record
-  /// guarantee is unchanged because nothing is acknowledged until the
-  /// batch returns. Frames land contiguously in one segment (rotation
-  /// happens only between batches).
+  /// write and at most one fsync; a single record is a batch of one.
+  /// Under kEveryRecord the whole batch is durable on OK; nothing is
+  /// acknowledged until the batch returns. Frames land contiguously in
+  /// one segment (rotation happens only between batches).
   Status AppendBatch(const std::vector<std::string_view>& payloads);
 
   /// Forces an fsync regardless of policy.
@@ -106,7 +98,7 @@ class JournalWriter {
   uint64_t records_appended_ = 0;
   uint64_t bytes_appended_ = 0;
   uint32_t segments_created_ = 0;
-  int unsynced_records_ = 0;
+  bool unsynced_ = false;  ///< bytes appended since the last fsync
 };
 
 /// What a replay saw. `tail_truncated`/`bytes_discarded` describe a

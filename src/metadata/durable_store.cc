@@ -75,9 +75,8 @@ Status ApplyOneRecord(uint8_t type, BinReader* r, MetadataRepository* repo) {
   return Status::OK();
 }
 
-/// The replay core shared by writer recovery and read-only LoadState:
-/// sequence dedup against the snapshot, gap detection, record apply.
-/// `applied`/`deduped` are optional tallies.
+}  // namespace
+
 Status ApplyJournalPayload(std::string_view payload,
                            uint64_t snapshot_sequence,
                            uint64_t* expected_seq, MetadataRepository* repo,
@@ -94,7 +93,7 @@ Status ApplyJournalPayload(std::string_view payload,
     if (deduped != nullptr) ++*deduped;
     return Status::OK();
   }
-  if (seq != *expected_seq) {
+  if (*expected_seq != 0 && seq != *expected_seq) {
     return Status::Corruption(
         StrFormat("journal sequence gap: expected %llu, found %llu",
                   static_cast<unsigned long long>(*expected_seq),
@@ -122,8 +121,6 @@ Status ApplyJournalPayload(std::string_view payload,
   if (applied != nullptr) ++*applied;
   return Status::OK();
 }
-
-}  // namespace
 
 FileSystem* DurableEventStore::fs() const {
   return options_.fs != nullptr ? options_.fs : FileSystem::Default();
@@ -207,18 +204,22 @@ Status DurableEventStore::AppendRecord(uint8_t type,
   w.U8(type);
   w.U64(last_sequence_ + 1);
   payload.append(body);
+  return AppendPayloads({payload});
+}
 
-  Status s = journal_->Append(payload);
+Status DurableEventStore::AppendPayloads(
+    const std::vector<std::string_view>& payloads) {
+  Status s = journal_->AppendBatch(payloads);
   if (!s.ok()) {
-    // The record may or may not have reached disk; it was never
+    // The records may or may not have reached disk; they were never
     // acknowledged, and recovery's CRC framing will discard any torn
     // prefix. Wedge the store so the caller cannot keep writing into
     // an undefined disk state.
     broken_ = s;
     return s;
   }
-  ++last_sequence_;
-  ++records_appended_;
+  last_sequence_ += payloads.size();
+  records_appended_ += payloads.size();
   return Status::OK();
 }
 
@@ -370,17 +371,8 @@ Status DurableEventStore::AppendBatch(const RecordBatch& batch) {
     payload.append(chunk);
     payloads.push_back(std::move(payload));
   }
-  std::vector<std::string_view> views(payloads.begin(), payloads.end());
-  Status s = journal_->AppendBatch(views);
-  if (!s.ok()) {
-    // Same contract as AppendRecord: nothing was acknowledged, disk
-    // state is undefined past the last sync — wedge.
-    broken_ = s;
-    return s;
-  }
-  last_sequence_ += payloads.size();
-  records_appended_ += payloads.size();
-  return Status::OK();
+  return AppendPayloads(
+      std::vector<std::string_view>(payloads.begin(), payloads.end()));
 }
 
 Result<MetadataRepository> DurableEventStore::LoadState(

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -87,7 +88,10 @@ struct RecoveryInfo {
 
 /// Lifetime write-side tallies.
 struct DurableStoreStats {
-  uint64_t records_appended = 0;  ///< journal records acknowledged
+  /// Journal frames acknowledged: a single mutation counts once, and so
+  /// does each kRecBatch chunk of an AppendBatch, however many records
+  /// it carries.
+  uint64_t records_appended = 0;
   uint64_t bytes_appended = 0;    ///< framed journal bytes written
   uint32_t checkpoints = 0;
   uint32_t segments_created = 0;
@@ -164,6 +168,10 @@ class DurableEventStore {
   FileSystem* fs() const;
   Status Recover();
   Status AppendRecord(uint8_t type, const std::string& body);
+  /// The shared append tail: journals `payloads` (sequences
+  /// last_sequence_+1...), wedges the store on failure, advances the
+  /// sequence on success.
+  Status AppendPayloads(const std::vector<std::string_view>& payloads);
   Status ApplyReplay(std::string_view payload, uint64_t* expected_seq);
   Status ValidateBatch(const RecordBatch& batch) const;
   /// Snapshot `state` at the current sequence and reset the journal
@@ -187,6 +195,21 @@ class DurableEventStore {
 
 /// Snapshot file name within a store directory.
 extern const char kSnapshotFileName[];
+
+/// The journal replay core, and the only decoder of journal payloads:
+/// store recovery, read-only LoadState and fsck all replay through it.
+/// Decodes `payload` (a single record or a kRecBatch chunk) and applies
+/// it to `repo`. A record with sequence <= `snapshot_sequence` is
+/// already folded into the snapshot and is skipped (counted in
+/// `deduped`); any other must carry `*expected_seq` exactly, else it is
+/// a sequence gap. `*expected_seq == 0` adopts the first record's
+/// sequence instead — fsck's view of a journal whose snapshot is lost.
+/// On OK `*expected_seq` is one past the applied record. `applied` and
+/// `deduped` are optional tallies.
+Status ApplyJournalPayload(std::string_view payload,
+                           uint64_t snapshot_sequence,
+                           uint64_t* expected_seq, MetadataRepository* repo,
+                           uint64_t* applied, uint64_t* deduped);
 
 }  // namespace dievent
 

@@ -6,62 +6,9 @@
 #include "common/strings.h"
 #include "io/file.h"
 #include "metadata/durable_store.h"
-#include "metadata/record_codec.h"
 #include "metadata/repository.h"
 
 namespace dievent {
-
-namespace {
-
-/// Structurally validates one journal payload (type tag, sequence,
-/// record body decodes, no trailing bytes) without applying it.
-Status ValidatePayload(std::string_view payload, uint64_t* seq_out) {
-  BinReader r(payload);
-  const uint8_t type = r.U8();
-  *seq_out = r.U64();
-  if (!r.ok()) return Status::Corruption("truncated journal payload");
-  switch (type) {
-    case 1: {  // look-at
-      LookAtRecord rec;
-      DIEVENT_RETURN_NOT_OK(DecodeLookAt(&r, &rec));
-      break;
-    }
-    case 2: {  // emotion
-      EmotionRecord rec;
-      DIEVENT_RETURN_NOT_OK(DecodeEmotion(&r, &rec));
-      break;
-    }
-    case 3: {  // overall emotion
-      OverallEmotionRecord rec;
-      DIEVENT_RETURN_NOT_OK(DecodeOverallEmotion(&r, &rec));
-      break;
-    }
-    case 4: {  // context
-      EventContext ctx;
-      DIEVENT_RETURN_NOT_OK(DecodeContext(&r, &ctx));
-      break;
-    }
-    case 5:  // fps
-      (void)r.F64();
-      break;
-    case 6: {  // video structure
-      (void)r.F64();
-      std::vector<StoredShot> shots;
-      int num_scenes = 0;
-      DIEVENT_RETURN_NOT_OK(DecodeShots(&r, &shots, &num_scenes));
-      break;
-    }
-    default:
-      return Status::Corruption(
-          StrFormat("unknown journal record type %u", type));
-  }
-  if (!r.ok() || !r.AtEnd()) {
-    return Status::Corruption("journal payload size mismatch");
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 std::string FsckReport::ToString() const {
   std::string out = StrFormat(
@@ -104,6 +51,9 @@ Result<FsckReport> RunFsck(FileSystem* fs, const std::string& dir,
   }
 
   // --- snapshot ----------------------------------------------------------
+  // The journal replays on top of the snapshot's state, exactly as
+  // recovery does, so a record is checked against everything before it.
+  MetadataRepository state;
   report.snapshot_present = fs->Exists(snapshot_path);
   if (report.snapshot_present) {
     MetadataRepository::SnapshotInfo info;
@@ -111,6 +61,7 @@ Result<FsckReport> RunFsck(FileSystem* fs, const std::string& dir,
     if (loaded.ok()) {
       report.snapshot_ok = true;
       report.snapshot_sequence = info.last_sequence;
+      state = std::move(loaded).value();
     } else {
       report.problems.push_back("snapshot: " + loaded.status().message());
       if (options.repair) {
@@ -135,36 +86,19 @@ Result<FsckReport> RunFsck(FileSystem* fs, const std::string& dir,
   }
   std::sort(segments.begin(), segments.end());
 
-  // Sequence continuity, tracked inside the per-record callback so the
-  // segment scan reports the exact byte offset of any violation.
-  bool adopted = false;
+  // Every payload replays through the store's own replay core into
+  // `state`, so the scan stops exactly where recovery would refuse and
+  // reports that record's byte offset. Without a usable snapshot the
+  // journal's first sequence is adopted (expected 0) rather than
+  // required to be 1, so a lost snapshot costs only its own state.
+  uint64_t expected = report.snapshot_ok ? report.snapshot_sequence + 1 : 0;
   uint64_t first_seq = 0;
-  uint64_t expected = 0;
-  auto validate = [&](std::string_view payload) -> Status {
-    uint64_t seq = 0;
-    DIEVENT_RETURN_NOT_OK(ValidatePayload(payload, &seq));
-    if (report.snapshot_ok && seq <= report.snapshot_sequence) {
-      return Status::OK();  // stale pre-snapshot record; replay dedups
-    }
-    if (!adopted) {
-      if (report.snapshot_ok && seq != report.snapshot_sequence + 1) {
-        return Status::Corruption(StrFormat(
-            "sequence gap after snapshot: expected %llu, found %llu",
-            static_cast<unsigned long long>(report.snapshot_sequence + 1),
-            static_cast<unsigned long long>(seq)));
-      }
-      adopted = true;
-      first_seq = seq;
-      expected = seq + 1;
-      return Status::OK();
-    }
-    if (seq != expected) {
-      return Status::Corruption(
-          StrFormat("sequence gap: expected %llu, found %llu",
-                    static_cast<unsigned long long>(expected),
-                    static_cast<unsigned long long>(seq)));
-    }
-    ++expected;
+  auto replay = [&](std::string_view payload) -> Status {
+    const bool adopting = expected == 0;
+    DIEVENT_RETURN_NOT_OK(ApplyJournalPayload(
+        payload, report.snapshot_sequence, &expected, &state, nullptr,
+        nullptr));
+    if (adopting) first_seq = expected - 1;
     return Status::OK();
   };
 
@@ -172,14 +106,15 @@ Result<FsckReport> RunFsck(FileSystem* fs, const std::string& dir,
     const auto& [index, name] = segments[i];
     const std::string path = JoinPath(dir, name);
     DIEVENT_ASSIGN_OR_RETURN(JournalSegmentScan scan,
-                             ScanJournalSegment(fs, path, index, validate));
+                             ScanJournalSegment(fs, path, index, replay));
     ++report.journal_segments;
     report.journal_records += scan.valid_records;
     if (!scan.damaged && !scan.payload_rejected) continue;
 
     const bool last = i + 1 == segments.size();
     report.problems.push_back(StrFormat(
-        "segment %s: %s%s", name.c_str(), scan.damage.c_str(),
+        "segment %s: %s at byte %llu%s", name.c_str(), scan.damage.c_str(),
+        static_cast<unsigned long long>(scan.valid_bytes),
         (last && scan.damaged) ? " (torn tail)" : ""));
     if (!last) {
       report.problems.push_back(StrFormat(
@@ -206,16 +141,22 @@ Result<FsckReport> RunFsck(FileSystem* fs, const std::string& dir,
   }
 
   // --- re-anchor a lost snapshot ----------------------------------------
-  // If the snapshot is gone (corrupt, quarantined) but the journal
-  // starts past sequence 1, replay needs an anchor carrying the folded
-  // sequence so the surviving records still apply without a gap.
-  if (options.repair && report.snapshot_present && !report.snapshot_ok &&
-      adopted && first_seq > 1) {
-    MetadataRepository empty;
-    DIEVENT_RETURN_NOT_OK(empty.Save(fs, snapshot_path, first_seq - 1));
-    report.repairs.push_back(StrFormat(
-        "wrote empty anchor snapshot at sequence %llu",
-        static_cast<unsigned long long>(first_seq - 1)));
+  // If the snapshot is gone (corrupt, quarantined, deleted) but the
+  // journal starts past sequence 1, replay needs an anchor carrying the
+  // folded sequence so the surviving records still apply without a gap.
+  if (!report.snapshot_ok && first_seq > 1) {
+    if (!report.snapshot_present) {
+      report.problems.push_back(StrFormat(
+          "journal starts at sequence %llu but no snapshot anchors it",
+          static_cast<unsigned long long>(first_seq)));
+    }
+    if (options.repair) {
+      MetadataRepository empty;
+      DIEVENT_RETURN_NOT_OK(empty.Save(fs, snapshot_path, first_seq - 1));
+      report.repairs.push_back(StrFormat(
+          "wrote empty anchor snapshot at sequence %llu",
+          static_cast<unsigned long long>(first_seq - 1)));
+    }
   }
 
   // --- verification ------------------------------------------------------

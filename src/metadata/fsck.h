@@ -2,8 +2,14 @@
 /// Scrub / verify / repair for a DurableEventStore directory.
 ///
 /// Verify mode (`repair = false`) reads every byte of the snapshot and
-/// journal — section CRCs, frame CRCs, payload decode, sequence
-/// continuity — and reports problems without touching the disk.
+/// journal — section CRCs, frame CRCs — and replays every journal
+/// payload through the store's own replay core (ApplyJournalPayload:
+/// decode, batch entries, sequence dedup and gaps, and the
+/// repository's own checks such as look-at frame order) on top of the
+/// snapshot's state. It reports problems without touching the disk.
+/// fsck accepts exactly what recovery replays: a store that verifies
+/// clean opens with DurableEventStore::Open, and one that Open refuses
+/// is reported at the record that stops the replay.
 ///
 /// Repair mode additionally applies the safe subset of fixes:
 ///   - stray checkpoint temp files are removed
@@ -41,7 +47,7 @@ struct FsckReport {
   bool snapshot_ok = false;
   uint64_t snapshot_sequence = 0;
   uint64_t journal_segments = 0;
-  uint64_t journal_records = 0;  ///< structurally valid records scanned
+  uint64_t journal_records = 0;  ///< journal frames that replayed
   /// Human-readable findings; empty => the store is clean.
   std::vector<std::string> problems;
   /// Repairs applied (repair mode only).

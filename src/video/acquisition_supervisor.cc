@@ -6,14 +6,20 @@
 
 namespace dievent {
 
+namespace {
+
+/// Capacity of each camera's response queue.
+constexpr int kResponseQueueCapacity = 8;
+
+}  // namespace
+
 AcquisitionSupervisor::AcquisitionSupervisor(
     std::vector<VideoSource*> sources, SupervisorOptions options)
     : options_(std::move(options)) {
   clock_ = options_.clock != nullptr ? options_.clock : RealClock::Get();
   readers_.reserve(sources.size());
   for (size_t c = 0; c < sources.size(); ++c) {
-    auto reader = std::make_unique<Reader>(
-        std::max(2, options_.queue_capacity));
+    auto reader = std::make_unique<Reader>(kResponseQueueCapacity);
     reader->source = sources[c];
     reader->camera = static_cast<int>(c);
     readers_.push_back(std::move(reader));

@@ -71,8 +71,6 @@ struct SupervisorOptions {
   double watchdog_stall_s = 0.0;
   /// Retry pacing inside a single read.
   BackoffPolicy backoff;
-  /// Capacity of each camera's response queue.
-  int queue_capacity = 8;
   /// Time source for deadlines, watchdog, backoff pacing, and latency
   /// measurement. Null = RealClock. Must outlive the supervisor; tests
   /// inject a SimClock for deterministic timing.

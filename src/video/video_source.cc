@@ -1,5 +1,6 @@
 #include "video/video_source.h"
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 #include <utility>
@@ -65,11 +66,10 @@ Result<MultiCameraSource> MultiCameraSource::Create(
         "acquisition policy: retry_budget must be >= 0, "
         "min_camera_quorum and quarantine_after must be >= 1");
   }
-  if (policy.read_deadline_s < 0 || policy.readmit_backoff < 1.0 ||
-      policy.readmit_jitter < 0) {
+  if (policy.read_deadline_s < 0 || policy.readmit_backoff < 1.0) {
     return Status::InvalidArgument(
-        "acquisition policy: read_deadline_s and readmit_jitter must be "
-        ">= 0, readmit_backoff must be >= 1");
+        "acquisition policy: read_deadline_s must be >= 0, "
+        "readmit_backoff must be >= 1");
   }
   if (policy.adaptive_deadline.enabled) {
     const AdaptiveDeadlineOptions& a = policy.adaptive_deadline;
@@ -150,21 +150,16 @@ void MultiCameraSource::EnsureSupervisor() {
       std::make_unique<AcquisitionSupervisor>(std::move(raw), options);
 }
 
-int MultiCameraSource::ReadmitCooldownFrames(int camera,
-                                             const CameraHealth& health) const {
+int MultiCameraSource::ReadmitCooldownFrames(
+    const CameraHealth& health) const {
   if (policy_.readmit_after <= 0) return 0;  // never readmit
-  // Express the cooldown growth through BackoffPolicy so the jitter is
-  // deterministic in the same way as retry pacing: attempt n is the n-th
-  // consecutive failed probe, the "seconds" are frames.
-  BackoffPolicy growth;
-  growth.base_s = static_cast<double>(policy_.readmit_after);
-  growth.max_s = static_cast<double>(policy_.readmit_max_cooldown);
-  growth.multiplier = policy_.readmit_backoff;
-  growth.jitter = policy_.readmit_jitter;
-  growth.seed = policy_.retry_backoff.seed;
-  const double frames = growth.Delay(health.probe_failures + 1,
-                                     static_cast<uint64_t>(camera),
-                                     /*op=*/0x5eadu);
+  // Each consecutive failed probe multiplies the cooldown by
+  // readmit_backoff, up to a cap.
+  constexpr double kReadmitMaxCooldownFrames = 600;
+  const double frames =
+      std::min(policy_.readmit_after *
+                   std::pow(policy_.readmit_backoff, health.probe_failures),
+               kReadmitMaxCooldownFrames);
   return std::max(policy_.readmit_after,
                   static_cast<int>(std::llround(frames)));
 }
@@ -182,7 +177,7 @@ void MultiCameraSource::DecideAdmission(int index, SynchronizedFrameSet* set,
     // cooldown (grown by the readmission backoff on every failed probe)
     // elapses, then probed once (half-open).
     if (health.breaker == CameraHealth::Breaker::kOpen) {
-      const int cooldown = ReadmitCooldownFrames(static_cast<int>(c), health);
+      const int cooldown = ReadmitCooldownFrames(health);
       const bool cooldown_over =
           cooldown > 0 && index - health.quarantined_at_frame >= cooldown;
       if (!cooldown_over) {

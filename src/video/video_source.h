@@ -139,12 +139,8 @@ struct AcquisitionPolicy {
   BackoffPolicy retry_backoff;
   /// Readmission backoff: each consecutive failed probe multiplies the
   /// next breaker cooldown by this factor (1.0 = constant cooldown, the
-  /// pre-supervisor behavior), capped at `readmit_max_cooldown` frames
-  /// and stretched by up to `readmit_jitter` (deterministic in
-  /// `retry_backoff.seed`).
+  /// pre-supervisor behavior), capped at 600 frames.
   double readmit_backoff = 1.0;
-  int readmit_max_cooldown = 600;
-  double readmit_jitter = 0.0;
   /// Snap fresh frames' timestamps to the master clock (index / fps),
   /// correcting injected or real encoder clock jitter.
   bool resync_timestamps = true;
@@ -275,7 +271,7 @@ class MultiCameraSource {
   bool PumpPush(SynchronizedFrameSet set);
   /// Breaker cooldown before the next probe, in frames — grows with
   /// consecutive failed probes under the readmission backoff.
-  int ReadmitCooldownFrames(int camera, const CameraHealth& health) const;
+  int ReadmitCooldownFrames(const CameraHealth& health) const;
 
   std::vector<std::unique_ptr<VideoSource>> sources_;
   std::vector<CameraHealth> health_;

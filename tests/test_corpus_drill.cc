@@ -5,7 +5,8 @@
 // shard must be bit-identical to the uninterrupted oracle. A separate
 // drill kills SealShard between shard data and the manifest rename:
 // the corpus must come back as if the seal never happened, and a
-// re-seal must publish the identical shard.
+// re-seal must publish the identical shard. Every recovered store and
+// sealed shard must also verify clean under fsck.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "io/faulty_file.h"
 #include "metadata/corpus.h"
 #include "metadata/durable_store.h"
+#include "metadata/fsck.h"
 #include "metadata/query_parser.h"
 
 namespace dievent {
@@ -249,6 +251,13 @@ TEST(CorpusDrill, BatchedIngestPowerCutAtEveryFrameBoundary) {
       RecordBatch tail;
       tail.lookat.push_back(DrillLookAt(seed, 1000));
       EXPECT_TRUE(recovered.value()->AppendBatch(tail).ok());
+
+      // fsck accepts exactly what recovery replays: the recovered
+      // journal's kRecBatch frames verify clean.
+      ASSERT_TRUE(recovered.value()->Close().ok());
+      auto fsck = RunFsck(base, dir);
+      ASSERT_TRUE(fsck.ok()) << fsck.status().ToString();
+      EXPECT_TRUE(fsck.value().clean()) << fsck.value().ToString();
       ++drills;
     }
   }
@@ -372,6 +381,10 @@ TEST(CorpusDrill, SealCrashLeavesCorpusAsIfSealNeverHappened) {
         base, JoinPath(dir, result.value().events[0].shard_dir));
     ASSERT_TRUE(repo.ok());
     EXPECT_EQ(StateBytes(repo.value(), "seal_crash_state"), want_state);
+    auto fsck = RunFsck(
+        base, JoinPath(dir, result.value().events[0].shard_dir));
+    ASSERT_TRUE(fsck.ok()) << fsck.status().ToString();
+    EXPECT_TRUE(fsck.value().clean()) << fsck.value().ToString();
   }
   EXPECT_GT(seal_crashes, 0) << "no crash point interrupted the seal";
 }

@@ -250,8 +250,8 @@ TEST(DurableStore, SequenceGapIsCorruptionNotSilence) {
   ASSERT_TRUE(writer.ok());
   std::string fps_body;
   BinWriter(&fps_body).F64(10.0);
-  ASSERT_TRUE(writer.value()->Append(StorePayload(5, 1, fps_body)).ok());
-  ASSERT_TRUE(writer.value()->Append(StorePayload(5, 3, fps_body)).ok());
+  ASSERT_TRUE(writer.value()->AppendBatch({StorePayload(5, 1, fps_body)}).ok());
+  ASSERT_TRUE(writer.value()->AppendBatch({StorePayload(5, 3, fps_body)}).ok());
   ASSERT_TRUE(writer.value()->Close().ok());
 
   auto store = DurableEventStore::Open(dir);
@@ -268,7 +268,7 @@ TEST(DurableStore, UnknownRecordTypeIsCorruption) {
   ASSERT_TRUE(fs->CreateDir(dir).ok());
   auto writer = JournalWriter::Open(fs, dir, 0, JournalOptions{});
   ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE(writer.value()->Append(StorePayload(99, 1, "???")).ok());
+  ASSERT_TRUE(writer.value()->AppendBatch({StorePayload(99, 1, "???")}).ok());
   ASSERT_TRUE(writer.value()->Close().ok());
 
   auto store = DurableEventStore::Open(dir);

@@ -250,14 +250,14 @@ TEST(Fsck, StructurallyValidButUndecodablePayloadIsCaught) {
     w.U64(1);
     w.F64(25.0);
   }
-  ASSERT_TRUE(writer.value()->Append(good).ok());
+  ASSERT_TRUE(writer.value()->AppendBatch({good}).ok());
   std::string bad;
   {
     BinWriter w(&bad);
     w.U8(99);  // no such record type — CRC-valid frame, rotten payload
     w.U64(2);
   }
-  ASSERT_TRUE(writer.value()->Append(bad).ok());
+  ASSERT_TRUE(writer.value()->AppendBatch({bad}).ok());
   ASSERT_TRUE(writer.value()->Close().ok());
 
   auto verify = RunFsck(fs, dir);
@@ -272,6 +272,132 @@ TEST(Fsck, StructurallyValidButUndecodablePayloadIsCaught) {
   auto store = DurableEventStore::Open(dir);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(store.value()->repository().fps(), 25.0);
+}
+
+TEST(Fsck, MultiFrameBatchStoreVerifiesCleanAndRepairsNothing) {
+  // AppendBatch is the corpus ingest path; a batch past the 1 MiB chunk
+  // size spans several kRecBatch frames sharing one write and one sync.
+  const std::string dir = FreshDir("fsck_batch");
+  FileSystem* fs = FileSystem::Default();
+  RecordBatch big;
+  for (int f = 0; f < 20000; ++f) big.lookat.push_back(La(f, 6));
+  RecordBatch small;
+  for (int f = 20000; f < 20005; ++f) small.lookat.push_back(La(f, 6));
+  {
+    auto store = DurableEventStore::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE(store.value()->AppendBatch(big).ok());
+    ASSERT_GT(store.value()->stats().records_appended, 1u)
+        << "the big batch fit one frame; it no longer spans chunks";
+    ASSERT_TRUE(store.value()->AppendBatch(small).ok());
+    ASSERT_TRUE(store.value()->Close().ok());
+  }
+
+  auto verify = RunFsck(fs, dir);
+  ASSERT_TRUE(verify.ok()) << verify.status().ToString();
+  EXPECT_TRUE(verify.value().clean()) << verify.value().ToString();
+  EXPECT_GT(verify.value().journal_records, 2u);
+
+  FsckOptions repair;
+  repair.repair = true;
+  auto repaired = RunFsck(fs, dir, repair);
+  ASSERT_TRUE(repaired.ok());
+  EXPECT_TRUE(repaired.value().repairs.empty())
+      << repaired.value().ToString();
+  EXPECT_TRUE(repaired.value().verified) << repaired.value().ToString();
+
+  auto state = DurableEventStore::LoadState(fs, dir);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  const auto& records = state.value().lookat_records();
+  ASSERT_EQ(records.size(), 20005u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ(records[i].frame, static_cast<int>(i));
+  }
+}
+
+TEST(Fsck, BackwardsLookAtFramesAreCaughtWhereRecoveryRefuses) {
+  // Every frame is CRC-valid and every payload decodes, but the fourth
+  // look-at record goes back in time: Open refuses this journal, so
+  // fsck must too, at that record.
+  const std::string dir = FreshDir("fsck_backwards");
+  FileSystem* fs = FileSystem::Default();
+  ASSERT_TRUE(fs->CreateDir(dir).ok());
+  auto writer = JournalWriter::Open(fs, dir, 0, JournalOptions{});
+  ASSERT_TRUE(writer.ok());
+  const int frames[] = {0, 1, 2, 1};
+  uint64_t bad_offset = 0;
+  for (int i = 0; i < 4; ++i) {
+    if (i == 3) bad_offset = writer.value()->segment_bytes();
+    std::string payload;
+    BinWriter w(&payload);
+    w.U8(1);  // look-at record
+    w.U64(static_cast<uint64_t>(i) + 1);
+    EncodeLookAt(La(frames[i], 3), &payload);
+    ASSERT_TRUE(writer.value()->AppendBatch({payload}).ok());
+  }
+  ASSERT_TRUE(writer.value()->Close().ok());
+  EXPECT_EQ(DurableEventStore::Open(dir).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  auto verify = RunFsck(fs, dir);
+  ASSERT_TRUE(verify.ok());
+  EXPECT_FALSE(verify.value().clean());
+  EXPECT_EQ(verify.value().journal_records, 3u);
+  EXPECT_TRUE(AnyProblemContains(verify.value(), "frame order"))
+      << verify.value().ToString();
+  EXPECT_TRUE(AnyProblemContains(verify.value(),
+                                 "at byte " + std::to_string(bad_offset)))
+      << verify.value().ToString();
+
+  FsckOptions repair;
+  repair.repair = true;
+  auto repaired = RunFsck(fs, dir, repair);
+  ASSERT_TRUE(repaired.ok());
+  EXPECT_TRUE(repaired.value().verified) << repaired.value().ToString();
+  EXPECT_EQ(fs->FileSize(JoinPath(dir, JournalSegmentName(0))).value(),
+            bad_offset);
+  auto store = DurableEventStore::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(store.value()->repository().lookat_records().size(), 3u);
+  EXPECT_TRUE(RunFsck(fs, dir).value().clean());
+}
+
+TEST(Fsck, JournalWithoutItsSnapshotIsReportedAndReanchored) {
+  // A deleted snapshot leaves a journal starting past sequence 1, which
+  // Open refuses as a gap. fsck reports it and repair anchors the
+  // surviving records, as it does for a corrupt snapshot.
+  const std::string dir = FreshDir("fsck_no_anchor");
+  FileSystem* fs = FileSystem::Default();
+  {
+    auto store = DurableEventStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    for (int f = 0; f < 3; ++f) {
+      ASSERT_TRUE(store.value()->AddLookAt(La(f, 3)).ok());
+    }
+    ASSERT_TRUE(store.value()->Checkpoint().ok());
+    for (int f = 3; f < 5; ++f) {
+      ASSERT_TRUE(store.value()->AddLookAt(La(f, 3)).ok());
+    }
+    ASSERT_TRUE(store.value()->Close().ok());
+  }
+  ASSERT_TRUE(fs->Remove(JoinPath(dir, "snapshot.dmr")).ok());
+  EXPECT_EQ(DurableEventStore::Open(dir).status().code(),
+            StatusCode::kCorruption);
+
+  auto verify = RunFsck(fs, dir);
+  ASSERT_TRUE(verify.ok());
+  EXPECT_TRUE(AnyProblemContains(verify.value(), "no snapshot anchors"))
+      << verify.value().ToString();
+
+  FsckOptions repair;
+  repair.repair = true;
+  auto repaired = RunFsck(fs, dir, repair);
+  ASSERT_TRUE(repaired.ok());
+  EXPECT_TRUE(repaired.value().verified) << repaired.value().ToString();
+  auto store = DurableEventStore::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(store.value()->repository().lookat_records().size(), 2u);
+  EXPECT_TRUE(RunFsck(fs, dir).value().clean());
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ TEST(Journal, RoundTripsInOrderAcrossRotation) {
   for (int i = 0; i < 20; ++i) {
     want.push_back(StrFormat("record-%02d-%s", i,
                              std::string(i % 7, 'x').c_str()));
-    ASSERT_TRUE(writer.value()->Append(want.back()).ok());
+    ASSERT_TRUE(writer.value()->AppendBatch({want.back()}).ok());
   }
   EXPECT_EQ(writer.value()->records_appended(), 20u);
   EXPECT_GT(writer.value()->segments_created(), 1u);
@@ -100,7 +100,7 @@ TEST(Journal, TornTailIsSalvagedAndPhysicallyTruncated) {
   auto writer = JournalWriter::Open(fs, dir, 0, JournalOptions{});
   ASSERT_TRUE(writer.ok());
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(writer.value()->Append(StrFormat("rec-%d", i)).ok());
+    ASSERT_TRUE(writer.value()->AppendBatch({StrFormat("rec-%d", i)}).ok());
   }
   ASSERT_TRUE(writer.value()->Close().ok());
 
@@ -137,7 +137,8 @@ TEST(Journal, TornPayloadInsideLastRecordSalvagesThePrefix) {
   auto writer = JournalWriter::Open(fs, dir, 0, JournalOptions{});
   ASSERT_TRUE(writer.ok());
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(writer.value()->Append("payload-" + std::to_string(i)).ok());
+    ASSERT_TRUE(
+        writer.value()->AppendBatch({"payload-" + std::to_string(i)}).ok());
   }
   ASSERT_TRUE(writer.value()->Close().ok());
 
@@ -161,7 +162,8 @@ TEST(Journal, MidStreamCorruptionIsFatalNotSalvaged) {
   auto writer = JournalWriter::Open(fs, dir, 0, options);
   ASSERT_TRUE(writer.ok());
   for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(writer.value()->Append(StrFormat("seg-rec-%02d", i)).ok());
+    ASSERT_TRUE(
+        writer.value()->AppendBatch({StrFormat("seg-rec-%02d", i)}).ok());
   }
   ASSERT_TRUE(writer.value()->segments_created() > 1u);
   ASSERT_TRUE(writer.value()->Close().ok());
@@ -193,16 +195,13 @@ TEST(Journal, FsyncPolicyBoundsPowerCutLossExactly) {
   struct Case {
     const char* name;
     FsyncPolicy fsync;
-    int sync_every;
     uint64_t survivors;  // records after a power cut, out of 10
   };
-  // kEveryRecord: ack == durable, nothing lost. kEveryN(4): records
-  // 1..8 were covered by the two syncs, 9..10 ride in OS buffers and
-  // die. kNever: even the segment header was never synced.
+  // kEveryRecord: ack == durable, nothing lost. kNever: even the
+  // segment header was never synced.
   const Case cases[] = {
-      {"every_record", FsyncPolicy::kEveryRecord, 32, 10},
-      {"every_n", FsyncPolicy::kEveryN, 4, 8},
-      {"never", FsyncPolicy::kNever, 32, 0},
+      {"every_record", FsyncPolicy::kEveryRecord, 10},
+      {"never", FsyncPolicy::kNever, 0},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -210,11 +209,10 @@ TEST(Journal, FsyncPolicyBoundsPowerCutLossExactly) {
     FaultyFileSystem fs(base, FileFaultSpec{});
     JournalOptions options;
     options.fsync = c.fsync;
-    options.sync_every = c.sync_every;
     auto writer = JournalWriter::Open(&fs, dir, 0, options);
     ASSERT_TRUE(writer.ok());
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(writer.value()->Append(StrFormat("r-%d", i)).ok());
+      ASSERT_TRUE(writer.value()->AppendBatch({StrFormat("r-%d", i)}).ok());
     }
     // Crash without Close/Sync, then lose everything unsynced.
     writer.value().reset();
@@ -260,7 +258,7 @@ TEST(Journal, AppendBatchIsOneBufferedWriteAndReplaysInOrder) {
       JournalWriter::Open(&serial_fs, serial_dir, 0, JournalOptions{});
   ASSERT_TRUE(serial.ok());
   for (const std::string& p : want) {
-    ASSERT_TRUE(serial.value()->Append(p).ok());
+    ASSERT_TRUE(serial.value()->AppendBatch({p}).ok());
   }
   ASSERT_TRUE(serial.value()->Close().ok());
 
@@ -287,7 +285,7 @@ TEST(Journal, AppendBatchLandsContiguouslyInOneSegment) {
   ASSERT_TRUE(writer.value()->AppendBatch(views).ok());
   // Rotation only happens between batches, never inside one.
   EXPECT_EQ(writer.value()->segments_created(), 1u);
-  ASSERT_TRUE(writer.value()->Append("after").ok());
+  ASSERT_TRUE(writer.value()->AppendBatch({"after"}).ok());
   EXPECT_EQ(writer.value()->segments_created(), 2u);
   ASSERT_TRUE(writer.value()->Close().ok());
 
@@ -313,10 +311,10 @@ TEST(Journal, OversizedRecordIsRejectedUpFront) {
       JournalWriter::Open(FileSystem::Default(), dir, 0, JournalOptions{});
   ASSERT_TRUE(writer.ok());
   const std::string huge((64u << 20) + 1, 'x');
-  EXPECT_EQ(writer.value()->Append(huge).code(),
+  EXPECT_EQ(writer.value()->AppendBatch({huge}).code(),
             StatusCode::kInvalidArgument);
   // The journal remains usable: the bad record never reached the file.
-  EXPECT_TRUE(writer.value()->Append("small").ok());
+  EXPECT_TRUE(writer.value()->AppendBatch({"small"}).ok());
   ASSERT_TRUE(writer.value()->Close().ok());
   JournalReplayInfo info;
   EXPECT_EQ(Replay(FileSystem::Default(), dir, &info).size(), 1u);
