@@ -5,7 +5,8 @@
 //
 // `bench_kernels --perf_smoke=PATH` verifies the kernels' bit-identical
 // equivalence contract (simd::SelfCheck), measures each kernel scalar vs
-// dispatched (best of 5, the two paths' runs interleaved), gates on a
+// dispatched on the calling thread's CPU clock (best of 5, the two paths'
+// runs interleaved), gates on a
 // per-kernel speedup floor when a vectorized backend is compiled in, and
 // writes PATH as JSON. Wired into the `perf-smoke` CMake target;
 // BENCH_kernels.json at the repo root is the committed snapshot —
@@ -14,7 +15,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
+#include <time.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -262,12 +264,21 @@ void BM_Kernel(benchmark::State& state, const Kernel& kernel,
 
 // --- perf smoke ----------------------------------------------------------
 
+/// CPU seconds this thread has consumed. The kernels run on the calling
+/// thread, so its CPU clock times one batch exactly, and unlike a wall
+/// clock it does not count the time a shared host spends running other
+/// tenants (steal) or other processes.
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 double TimeOneBatch(const Kernel& kernel, bool simd_path) {
-  auto start = std::chrono::steady_clock::now();  // lint: allow(steady-clock): measures real wall time
+  const double start = ThreadCpuSeconds();
   kernel.run(simd_path);
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now() - start)  // lint: allow(steady-clock): measures real wall time
-      .count();
+  return ThreadCpuSeconds() - start;
 }
 
 struct BatchSeconds {
@@ -275,8 +286,9 @@ struct BatchSeconds {
 };
 
 /// Best of kRuns batches per path, with the scalar and SIMD runs
-/// interleaved so a burst of host noise (CPU steal, a frequency change)
-/// lands on both paths instead of skewing one side of the ratio.
+/// interleaved so a burst of host noise the CPU clock still sees (a
+/// frequency change, cache pollution) lands on both paths instead of
+/// skewing one side of the ratio.
 BatchSeconds MeasureBatchSeconds(const Kernel& kernel) {
   constexpr int kRuns = 5;
   // Warm-up pass (page in buffers, settle frequency).
@@ -345,8 +357,8 @@ int RunPerfSmoke(const std::string& path) {
       .Add("gated", gated)
       .Add("pass", pass)
       .Add("note",
-           "scalar/simd ms per work batch, best of 5 interleaved "
-           "scalar/simd runs; outputs are "
+           "scalar/simd thread-CPU ms per work batch, best of 5 "
+           "interleaved scalar/simd runs; outputs are "
            "bit-identical across backends (simd::SelfCheck + "
            "test_simd_kernels); floors apply per kernel and only when a "
            "vectorized backend is compiled in");

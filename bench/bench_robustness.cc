@@ -316,7 +316,6 @@ void StallSweep() {
     AcquisitionPolicy policy;
     policy.retry_budget = 0;  // retries of a 100% stall only add deadlines
     policy.read_deadline_s = deadline_s;
-    policy.watchdog_stall_s = 4 * deadline_s;
     policy.quarantine_after = 1000;  // keep reading so every frame measures
     auto rig = MakeFaultyRig(4, kFrames, specs, policy);
     if (!rig.ok()) {

@@ -1,8 +1,8 @@
 /// \file layers.h
-/// The paper's multilayer information model (Section II-D): time-invariant
-/// context (location, menu, date, occasion, participants, social
-/// relations) and generic time-variant layers sampled per frame (gaze
-/// matrices, emotions). The metadata repository stores both.
+/// The time-invariant layer of the paper's multilayer information model
+/// (Section II-D): context (location, menu, date, occasion, participants,
+/// social relations). The time-variant layers sampled per frame (look-at
+/// matrices, emotions) are the metadata repository's per-frame records.
 
 #ifndef DIEVENT_ANALYSIS_LAYERS_H_
 #define DIEVENT_ANALYSIS_LAYERS_H_
@@ -32,32 +32,6 @@ struct EventContext {
   int num_participants = 0;     ///< the paper's externally-given n
   std::vector<std::string> participant_names;
   std::vector<SocialRelation> relations;
-};
-
-/// A named per-frame time series — the generic time-variant layer.
-template <typename T>
-class TimeVariantLayer {
- public:
-  TimeVariantLayer() = default;
-  TimeVariantLayer(std::string name, double fps)
-      : name_(std::move(name)), fps_(fps) {}
-
-  const std::string& name() const { return name_; }
-  double fps() const { return fps_; }
-  int NumFrames() const { return static_cast<int>(samples_.size()); }
-
-  void Append(T sample) { samples_.push_back(std::move(sample)); }
-  const T& At(int frame) const { return samples_.at(frame); }
-  const std::vector<T>& samples() const { return samples_; }
-
-  double TimeOfFrame(int frame) const {
-    return fps_ > 0 ? frame / fps_ : 0.0;
-  }
-
- private:
-  std::string name_;
-  double fps_ = 0.0;
-  std::vector<T> samples_;
 };
 
 }  // namespace dievent

@@ -3,8 +3,9 @@
 /// CACM 1985): five markers track the min, the target quantile, the max,
 /// and two intermediate quantiles, adjusted per observation with a
 /// piecewise-parabolic fit. O(1) memory, O(1) per sample — no stored
-/// sample window — which is what lets the adaptive-deadline controller
-/// track a healthy read-latency percentile per camera indefinitely.
+/// sample window — which is what lets the fleet load controller track
+/// the frame-commit latency percentile, fleet-wide and per tenant, for
+/// as long as the fleet runs.
 ///
 /// Exactness properties the tests rely on: below five samples the
 /// estimate is the exact nearest-rank order statistic of the samples seen;

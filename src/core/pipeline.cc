@@ -102,21 +102,12 @@ std::string DegradationStats::ToString() const {
         "jitter %.4fs\n",
         resync_corrections, resync_misalignments, max_timestamp_jitter_s);
   }
-  if (resync_retunes > 0) {
-    out += StrFormat("  drift feedback: %lld master-clock retunes\n",
-                     resync_retunes);
-  }
   if (parse_signatures_missing > 0 || parse_reference_switches > 0) {
     out += StrFormat(
         "  parsing: %d missing signatures (%d filled by interpolation), "
         "%d frames signed by a fallback camera\n",
         parse_signatures_missing, parse_signatures_interpolated,
         parse_reference_switches);
-  }
-  if (deadline_tightened > 0 || deadline_relaxed > 0) {
-    out += StrFormat(
-        "  adaptive deadline: %lld tightened, %lld relaxed transitions\n",
-        deadline_tightened, deadline_relaxed);
   }
   if (journal_records > 0 || checkpoints_committed > 0 ||
       resumed_from_frame >= 0) {
@@ -382,19 +373,12 @@ class PipelineRun {
           deg.reader_restarts += reader_stats.restarts;
           deg.max_queue_depth =
               std::max(deg.max_queue_depth, reader_stats.max_queue_depth);
-          const AdaptiveDeadlineController* deadline =
-              multi_->supervisor()->deadline_controller(c);
-          if (deadline != nullptr) {
-            deg.deadline_tightened += deadline->tightened();
-            deg.deadline_relaxed += deadline->relaxed();
-          }
         }
         const TimestampResampler::Stats& resync = multi_->resampler(c).stats();
         deg.resync_corrections += resync.corrections;
         deg.resync_misalignments += resync.misalignments;
         deg.max_timestamp_jitter_s =
             std::max(deg.max_timestamp_jitter_s, resync.max_jitter_s);
-        deg.resync_retunes += resync.retunes;
       }
       deg.cameras_quarantined = multi_->QuarantinedCameras();
       if (report_.frames_processed == 0 && deg.frames_skipped > 0) {

@@ -220,16 +220,11 @@ struct DegradationStats {
   long long resync_corrections = 0;    ///< timestamps snapped to a tick
   long long resync_misalignments = 0;  ///< off by more than half a period
   double max_timestamp_jitter_s = 0;   ///< worst deviation before resync
-  long long resync_retunes = 0;  ///< drift-feedback master-clock retunes
 
   // Fault-aware video parsing (camera-0 signature timeline repair).
   int parse_signatures_missing = 0;       ///< slots no camera could fill
   int parse_signatures_interpolated = 0;  ///< gaps filled before parsing
   int parse_reference_switches = 0;  ///< frames signed by a fallback camera
-
-  // Adaptive read-deadline controller transitions (summed over cameras).
-  long long deadline_tightened = 0;  ///< deadline lowered toward healthy p95
-  long long deadline_relaxed = 0;    ///< deadline backed off after misses
 
   // Durability (populated when PipelineOptions::store is attached).
   /// Journal frames acknowledged durable (DurableStoreStats::

@@ -194,11 +194,14 @@ Status DurableEventStore::ApplyReplay(std::string_view payload,
   return Status::OK();
 }
 
-Status DurableEventStore::AppendRecord(uint8_t type,
-                                       const std::string& body) {
+Status DurableEventStore::Writable() const {
   if (!broken_.ok()) return broken_;
   if (closed_) return Status::FailedPrecondition("store is closed");
+  return Status::OK();
+}
 
+Status DurableEventStore::AppendRecord(uint8_t type,
+                                       const std::string& body) {
   std::string payload;
   BinWriter w(&payload);
   w.U8(type);
@@ -224,7 +227,7 @@ Status DurableEventStore::AppendPayloads(
 }
 
 Status DurableEventStore::AddLookAt(const LookAtRecord& record) {
-  DIEVENT_RETURN_NOT_OK(broken_);
+  DIEVENT_RETURN_NOT_OK(Writable());
   DIEVENT_RETURN_NOT_OK(repo_.AddLookAt(record));
   std::string body;
   EncodeLookAt(record, &body);
@@ -232,7 +235,7 @@ Status DurableEventStore::AddLookAt(const LookAtRecord& record) {
 }
 
 Status DurableEventStore::AddEmotion(const EmotionRecord& record) {
-  DIEVENT_RETURN_NOT_OK(broken_);
+  DIEVENT_RETURN_NOT_OK(Writable());
   DIEVENT_RETURN_NOT_OK(repo_.AddEmotion(record));
   std::string body;
   EncodeEmotion(record, &body);
@@ -241,7 +244,7 @@ Status DurableEventStore::AddEmotion(const EmotionRecord& record) {
 
 Status DurableEventStore::AddOverallEmotion(
     const OverallEmotionRecord& record) {
-  DIEVENT_RETURN_NOT_OK(broken_);
+  DIEVENT_RETURN_NOT_OK(Writable());
   DIEVENT_RETURN_NOT_OK(repo_.AddOverallEmotion(record));
   std::string body;
   EncodeOverallEmotion(record, &body);
@@ -249,7 +252,7 @@ Status DurableEventStore::AddOverallEmotion(
 }
 
 Status DurableEventStore::SetContext(const EventContext& context) {
-  DIEVENT_RETURN_NOT_OK(broken_);
+  DIEVENT_RETURN_NOT_OK(Writable());
   repo_.SetContext(context);
   std::string body;
   EncodeContext(context, &body);
@@ -257,7 +260,7 @@ Status DurableEventStore::SetContext(const EventContext& context) {
 }
 
 Status DurableEventStore::SetFps(double fps) {
-  DIEVENT_RETURN_NOT_OK(broken_);
+  DIEVENT_RETURN_NOT_OK(Writable());
   repo_.set_fps(fps);
   std::string body;
   BinWriter(&body).F64(fps);
@@ -266,7 +269,7 @@ Status DurableEventStore::SetFps(double fps) {
 
 Status DurableEventStore::SetVideoStructure(
     const VideoStructure& structure) {
-  DIEVENT_RETURN_NOT_OK(broken_);
+  DIEVENT_RETURN_NOT_OK(Writable());
   repo_.SetVideoStructure(structure);
   // Journal the derived form (shot table + scene count + resulting
   // fps) so replay does not depend on VideoStructure's own layout.
@@ -317,8 +320,7 @@ Status DurableEventStore::ValidateBatch(const RecordBatch& batch) const {
 }
 
 Status DurableEventStore::AppendBatch(const RecordBatch& batch) {
-  DIEVENT_RETURN_NOT_OK(broken_);
-  if (closed_) return Status::FailedPrecondition("store is closed");
+  DIEVENT_RETURN_NOT_OK(Writable());
   if (batch.Empty()) return Status::OK();
   DIEVENT_RETURN_NOT_OK(ValidateBatch(batch));
 
@@ -403,8 +405,7 @@ Result<MetadataRepository> DurableEventStore::LoadState(
 }
 
 Status DurableEventStore::Checkpoint() {
-  if (!broken_.ok()) return broken_;
-  if (closed_) return Status::FailedPrecondition("store is closed");
+  DIEVENT_RETURN_NOT_OK(Writable());
 
   // Everything acknowledged must be on disk before the snapshot claims
   // to cover it.
@@ -417,8 +418,7 @@ Status DurableEventStore::Checkpoint() {
 }
 
 Status DurableEventStore::RewindToFrame(int frame) {
-  if (!broken_.ok()) return broken_;
-  if (closed_) return Status::FailedPrecondition("store is closed");
+  DIEVENT_RETURN_NOT_OK(Writable());
 
   MetadataRepository trimmed;
   trimmed.SetContext(repo_.context());

@@ -167,6 +167,10 @@ class DurableEventStore {
 
   FileSystem* fs() const;
   Status Recover();
+  /// The precheck every mutation runs before touching `repo_`: the
+  /// original error once wedged, FailedPrecondition once closed.
+  Status Writable() const;
+  /// Journals one record; the caller has already passed Writable().
   Status AppendRecord(uint8_t type, const std::string& body);
   /// The shared append tail: journals `payloads` (sequences
   /// last_sequence_+1...), wedges the store on failure, advances the

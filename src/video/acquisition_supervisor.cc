@@ -23,10 +23,6 @@ AcquisitionSupervisor::AcquisitionSupervisor(
     reader->source = sources[c];
     reader->camera = static_cast<int>(c);
     readers_.push_back(std::move(reader));
-    if (options_.adaptive.enabled) {
-      controllers_.push_back(std::make_unique<AdaptiveDeadlineController>(
-          options_.adaptive, options_.read_deadline_s));
-    }
   }
   for (auto& reader : readers_) SpawnReader(reader.get());
 }
@@ -49,27 +45,6 @@ AcquisitionSupervisor::~AcquisitionSupervisor() {
   }
 }
 
-double AcquisitionSupervisor::WatchdogThreshold() const {
-  if (options_.watchdog_stall_s > 0) return options_.watchdog_stall_s;
-  if (options_.read_deadline_s > 0) return 4.0 * options_.read_deadline_s;
-  return 0.0;  // unbounded reads: no watchdog
-}
-
-double AcquisitionSupervisor::CameraDeadlineS(size_t c) const {
-  if (c < controllers_.size()) return controllers_[c]->deadline_s();
-  return options_.read_deadline_s;
-}
-
-double AcquisitionSupervisor::camera_deadline_s(int camera) const {
-  return CameraDeadlineS(static_cast<size_t>(camera));
-}
-
-const AdaptiveDeadlineController* AcquisitionSupervisor::deadline_controller(
-    int camera) const {
-  const size_t c = static_cast<size_t>(camera);
-  return c < controllers_.size() ? controllers_[c].get() : nullptr;
-}
-
 void AcquisitionSupervisor::ReleaseControl() {
   control_owner_.Reset();
   for (auto& reader : readers_) reader->responses.ResetConsumerOwner();
@@ -82,7 +57,9 @@ void AcquisitionSupervisor::SpawnReader(Reader* reader) {
 
 void AcquisitionSupervisor::MaybeInterruptLocked(Reader* reader,
                                                  double stuck_s) {
-  const double threshold = WatchdogThreshold();
+  // A reader busy past 4x the read deadline is wedged; unbounded reads
+  // (read_deadline_s == 0) have no watchdog.
+  const double threshold = 4.0 * options_.read_deadline_s;
   if (threshold <= 0 || stuck_s < threshold || reader->restart_pending) {
     return;
   }
@@ -164,7 +141,6 @@ void AcquisitionSupervisor::ReaderLoop(Reader* reader) {
                              reader->camera, req.index))
                        : Status::Internal("no read attempt made");
     }
-    resp.latency_s = VirtualClock::ToSeconds(clock_->Now() - start);
 
     bool exit_thread = false;
     bool stopping = false;
@@ -217,9 +193,8 @@ AcquisitionSupervisor::PendingRead AcquisitionSupervisor::BeginRead(
   p.index = index;
   p.seq = ++seq_;
   p.bounded = options_.read_deadline_s > 0;
-  const Clock::time_point now = clock_->Now();
-  p.deadline = now;
-  p.deadlines.assign(readers_.size(), Clock::time_point{});
+  p.deadline =
+      clock_->Now() + VirtualClock::FromSeconds(options_.read_deadline_s);
   p.out.resize(readers_.size());
   p.pending.assign(readers_.size(), false);
 
@@ -260,7 +235,6 @@ AcquisitionSupervisor::PendingRead AcquisitionSupervisor::BeginRead(
       ++reader.stats.restarts;
       SpawnReader(&reader);
     }
-    const double camera_deadline_s = CameraDeadlineS(c);
     bool dispatched = false;
     {
       MutexLock lock(reader.mutex);
@@ -282,7 +256,7 @@ AcquisitionSupervisor::PendingRead AcquisitionSupervisor::BeginRead(
         // it under reader.mutex is safe.
         clock_->AddPendingWork(1);
         reader.request = ReaderRequest{seq, index, max_attempts[c],
-                                       p.bounded ? camera_deadline_s : 0.0};
+                                       options_.read_deadline_s};
         dispatched = true;
       }
     }
@@ -290,8 +264,6 @@ AcquisitionSupervisor::PendingRead AcquisitionSupervisor::BeginRead(
     reader.cv.NotifyOne();
     pending[c] = true;
     ++remaining;
-    p.deadlines[c] = now + VirtualClock::FromSeconds(camera_deadline_s);
-    p.deadline = std::max(p.deadline, p.deadlines[c]);
   }
   return p;
 }
@@ -319,7 +291,6 @@ AcquisitionSupervisor::FinishRead(PendingRead p) {
         out[c].error = resp->error;
         out[c].attempts_used = resp->attempts_used;
         out[c].retry_failures = resp->retry_failures;
-        out[c].latency_s = resp->latency_s;
         pending[c] = false;
         --remaining;
         break;
@@ -327,16 +298,16 @@ AcquisitionSupervisor::FinishRead(PendingRead p) {
     }
   };
 
-  // Marks every pending camera whose own deadline has passed as missed.
+  // Once the deadline has passed, marks every pending camera as missed.
   auto expire = [&](Clock::time_point at) {
-    if (!p.bounded) return;
+    if (!p.bounded || p.deadline > at) return;
     for (size_t c = 0; c < readers_.size(); ++c) {
-      if (!pending[c] || p.deadlines[c] > at) continue;
+      if (!pending[c]) continue;
       Reader& reader = *readers_[c];
       out[c].deadline_missed = true;
       out[c].error = Status::DeadlineExceeded(
           StrFormat("camera %zu frame %d: no response within %.3fs", c,
-                    index, CameraDeadlineS(c)));
+                    index, options_.read_deadline_s));
       pending[c] = false;
       --remaining;
       MutexLock lock(reader.mutex);
@@ -362,14 +333,10 @@ AcquisitionSupervisor::FinishRead(PendingRead p) {
       MutexLock wait_lock(wait_mutex_);
       if (has_any_response()) continue;  // recheck under the fence mutex
       if (p.bounded) {
-        Clock::time_point next = Clock::time_point::max();
-        for (size_t c = 0; c < readers_.size(); ++c) {
-          if (pending[c]) next = std::min(next, p.deadlines[c]);
-        }
-        if (clock_->Now() >= next) continue;  // expire on the next pass
+        if (clock_->Now() >= p.deadline) continue;  // expire on the next pass
         // Result deliberately unused: the loop re-drains and re-expires
         // on every wakeup, timeout or not.
-        clock_->WaitUntil(wait_mutex_, responses_cv_, next);
+        clock_->WaitUntil(wait_mutex_, responses_cv_, p.deadline);
       } else {
         clock_->Wait(wait_mutex_, responses_cv_);
       }
@@ -379,14 +346,6 @@ AcquisitionSupervisor::FinishRead(PendingRead p) {
   // Release the control token taken at BeginRead. Outside every lock: a
   // negative delta may advance simulated time and fence waiter mutexes.
   clock_->AddPendingWork(-1);
-
-  // Healthy reads feed the adaptive controllers; missed or failed reads
-  // say nothing about healthy latency (censored at the deadline).
-  if (!controllers_.empty()) {
-    for (size_t c = 0; c < out.size(); ++c) {
-      if (out[c].ok()) controllers_[c]->RecordHealthy(out[c].latency_s);
-    }
-  }
   return std::move(p.out);
 }
 

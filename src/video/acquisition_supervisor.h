@@ -1,5 +1,6 @@
 /// \file acquisition_supervisor.h
-/// Async per-camera acquisition with deadlines, backoff, and a watchdog.
+/// Async per-camera acquisition with one read deadline, backoff, and a
+/// watchdog.
 ///
 /// PR 1's degradation policy still read cameras sequentially, so one
 /// stalled source serialized `MultiCameraSource::GetFrames` and blocked
@@ -16,7 +17,7 @@
 ///
 ///   idle -> reading -> (response in time)  -> idle
 ///                   -> (deadline missed)   -> wedged
-///   wedged --(busy > watchdog_stall_s)--> interrupted (`Interrupt()`)
+///   wedged --(busy > 4 x read_deadline_s)--> interrupted (`Interrupt()`)
 ///   interrupted reader finishes its blocking call, discards the stale
 ///   result, and exits; the next dispatch joins the dead thread and spawns
 ///   a fresh reader ("restart"), with the wedge recorded as error context.
@@ -27,8 +28,8 @@
 /// parking a wedged reader must never steal a worker from a healthy
 /// camera.
 ///
-/// All timing goes through an injected VirtualClock (deadlines, watchdog,
-/// backoff pacing, latency measurement), so the whole state machine runs
+/// All timing goes through an injected VirtualClock (deadline, watchdog,
+/// backoff pacing), so the whole state machine runs
 /// under SimClock in tests. SimClock pending-work tokens bracket every
 /// unit of in-flight work so simulated time can only advance while the
 /// system is genuinely blocked: the control thread holds one token from
@@ -54,7 +55,6 @@
 #include "common/spsc_queue.h"
 #include "common/thread_annotations.h"
 #include "common/thread_ownership.h"
-#include "video/adaptive_deadline.h"
 #include "video/video_source.h"
 
 namespace dievent {
@@ -63,23 +63,17 @@ namespace dievent {
 /// AcquisitionPolicy; the supervisor only knows how to read with a
 /// deadline and when to declare a reader wedged.
 struct SupervisorOptions {
-  /// Wall-clock budget for one synchronized read, seconds. 0 = unbounded
-  /// (behaves like the old synchronous path, stalls and all).
+  /// Wall-clock budget for one synchronized read, seconds, shared by
+  /// every camera. 0 = unbounded (behaves like the old synchronous path,
+  /// stalls and all). A reader busy longer than 4 x this is interrupted
+  /// and restarted; unbounded reads have no watchdog.
   double read_deadline_s = 0.0;
-  /// A reader busy longer than this is interrupted and restarted.
-  /// 0 = derive as 4 * read_deadline_s (never, when unbounded).
-  double watchdog_stall_s = 0.0;
   /// Retry pacing inside a single read.
   BackoffPolicy backoff;
-  /// Time source for deadlines, watchdog, backoff pacing, and latency
-  /// measurement. Null = RealClock. Must outlive the supervisor; tests
-  /// inject a SimClock for deterministic timing.
+  /// Time source for the deadline, watchdog and backoff pacing.
+  /// Null = RealClock. Must outlive the supervisor; tests inject a
+  /// SimClock for deterministic timing.
   VirtualClock* clock = nullptr;
-  /// Per-camera adaptive read deadlines (see adaptive_deadline.h). When
-  /// enabled, `read_deadline_s` is only the starting point; each camera's
-  /// deadline then tracks its healthy-latency percentile within
-  /// [min_deadline_s, max_deadline_s].
-  AdaptiveDeadlineOptions adaptive;
 };
 
 /// Drives one reader thread per camera and collects deadline-bounded
@@ -96,10 +90,6 @@ class AcquisitionSupervisor {
     Status error;                  ///< set on failure or deadline miss
     int attempts_used = 0;
     int retry_failures = 0;        ///< failed attempts after the first
-    /// Read latency as the reader measured it (request pickup to
-    /// completion), seconds. 0 for skipped/missed slots; feeds the
-    /// adaptive-deadline controller on success.
-    double latency_s = 0.0;
 
     bool ok() const { return frame.has_value(); }
   };
@@ -136,10 +126,7 @@ class AcquisitionSupervisor {
     int index = 0;
     long long seq = 0;
     bool bounded = false;
-    Clock::time_point deadline;  ///< latest per-camera deadline
-    /// Per-camera deadlines, fixed at dispatch (adaptive deadlines move
-    /// only between reads, never within one).
-    std::vector<Clock::time_point> deadlines;
+    Clock::time_point deadline;  ///< fixed at dispatch, all cameras
     std::vector<ReadOutcome> out;
     std::vector<bool> pending;
     size_t remaining = 0;
@@ -167,15 +154,6 @@ class AcquisitionSupervisor {
   /// Snapshot of one camera's statistics (thread-safe).
   ReaderStats stats(int camera) const;
 
-  /// The camera's current effective read deadline, seconds — the static
-  /// `read_deadline_s` unless adaptive deadlines moved it. Control-thread
-  /// confined, like BeginRead/FinishRead.
-  double camera_deadline_s(int camera) const;
-
-  /// The camera's adaptive controller, or null when adaptive deadlines
-  /// are disabled. Control-thread confined.
-  const AdaptiveDeadlineController* deadline_controller(int camera) const;
-
   /// Hands the control role (BeginRead/FinishRead and the response-queue
   /// consumer side) to another thread. Call at an externally synchronized
   /// handoff point — after joining the old control thread or before
@@ -199,7 +177,6 @@ class AcquisitionSupervisor {
     Status error;
     int attempts_used = 0;
     int retry_failures = 0;
-    double latency_s = 0.0;  ///< pickup-to-completion, reader-measured
   };
 
   /// Per-camera reader state. The mutex guards everything except the
@@ -233,17 +210,10 @@ class AcquisitionSupervisor {
   /// Watchdog decision for a busy reader.
   void MaybeInterruptLocked(Reader* reader, double stuck_s)
       REQUIRES(reader->mutex);
-  /// Effective watchdog threshold, seconds; <= 0 disables it.
-  double WatchdogThreshold() const;
-  /// Camera's effective deadline, seconds (adaptive or static).
-  double CameraDeadlineS(size_t c) const;
 
   SupervisorOptions options_;
   VirtualClock* clock_ = nullptr;  ///< never null after construction
   std::vector<std::unique_ptr<Reader>> readers_;
-  /// Per-camera adaptive controllers; empty unless adaptive.enabled.
-  /// Control-thread confined (covered by control_owner_).
-  std::vector<std::unique_ptr<AdaptiveDeadlineController>> controllers_;
   /// Monotonic read ticket. Touched only by the (single) control thread
   /// driving BeginRead/FinishRead — the public contract forbids
   /// overlapping reads — so it needs no lock. The contract is checked:

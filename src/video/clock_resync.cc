@@ -12,47 +12,27 @@ namespace {
 constexpr double kNoiseFloorS = 1e-9;
 }  // namespace
 
-void TimestampResampler::MaybeRetune() {
-  if (!feedback_.enabled) return;
-  if (stats_.frames_seen < feedback_.min_frames) return;
-  if (std::abs(stats_.drift_estimate_s) <= feedback_.activation_s) return;
-  // The settled EWMA is the camera's constant skew: move it into the
-  // standing offset and restart the estimate from zero. Residual jitter
-  // re-accumulates and can trigger further retunes if the skew moves.
-  stats_.clock_offset_s += stats_.drift_estimate_s;
-  stats_.drift_estimate_s = 0.0;
-  ++stats_.retunes;
-}
-
 double TimestampResampler::Align(int index, VideoFrame* frame) {
   if (period_s_ <= 0.0 || frame == nullptr) return 0.0;
   ++stats_.frames_seen;
 
-  // Remove the known clock skew first; jitter and drift are measured on
-  // the corrected timestamp, so a retuned camera reads as clean.
-  const double corrected = frame->timestamp_s - stats_.clock_offset_s;
   const double master = index * period_s_;
-  const double jitter = corrected - master;
+  const double jitter = frame->timestamp_s - master;
   const double abs_jitter = std::abs(jitter);
   stats_.max_jitter_s = std::max(stats_.max_jitter_s, abs_jitter);
   stats_.sum_abs_jitter_s += abs_jitter;
   stats_.drift_estimate_s += drift_alpha_ * (jitter - stats_.drift_estimate_s);
-  if (abs_jitter <= kNoiseFloorS) {
-    frame->timestamp_s = corrected;
-    MaybeRetune();
-    return 0.0;
-  }
+  if (abs_jitter <= kNoiseFloorS) return 0.0;
 
   // Snap to the nearest master tick. Within half a period that is the
   // requested frame's own tick, so the correction is exact; beyond it the
   // camera clock is at least one frame off and we record a misalignment.
-  const long long tick = std::llround(corrected / period_s_);
+  const long long tick = std::llround(frame->timestamp_s / period_s_);
   if (tick != index) ++stats_.misalignments;
   frame->timestamp_s = static_cast<double>(tick) * period_s_;
   ++stats_.corrections;
   stats_.max_residual_s = std::max(
       stats_.max_residual_s, std::abs(frame->timestamp_s - master));
-  MaybeRetune();
   return jitter;
 }
 

@@ -8,17 +8,10 @@
 /// nearest master-clock tick (frame period = 1/fps), so downstream layers
 /// see one coherent timeline. Jitter below half a frame period is removed
 /// exactly; larger deviations snap to the nearest tick and are counted as
-/// misalignments (the camera's clock is off by at least one frame).
-///
-/// Drift feedback (ROADMAP "drift feedback"): the drift EWMA detects a
-/// *persistent* signed skew — an encoder clock that runs a constant
-/// offset from the master, which frame-by-frame snapping papers over
-/// every frame without ever fixing. With `DriftFeedbackOptions::enabled`,
-/// once the EWMA settles past `activation_s`, the resampler folds the
-/// estimate into a per-camera `clock_offset_s` applied to every
-/// subsequent timestamp before alignment: the mapping is retuned once,
-/// the EWMA resets, and a purely skewed camera thereafter shows zero
-/// jitter instead of a correction per frame.
+/// misalignments (the camera's clock is off by at least one frame). A
+/// drift EWMA of the signed deviation is reported alongside: a persistent
+/// nonzero value reveals a constant encoder skew, which the snap corrects
+/// frame by frame.
 
 #ifndef DIEVENT_VIDEO_CLOCK_RESYNC_H_
 #define DIEVENT_VIDEO_CLOCK_RESYNC_H_
@@ -26,17 +19,6 @@
 namespace dievent {
 
 struct VideoFrame;  // video/video_source.h (cycle: it holds resamplers)
-
-/// Controls the EWMA → master-clock-mapping feedback loop.
-struct DriftFeedbackOptions {
-  bool enabled = false;
-  /// Retune once |drift EWMA| exceeds this, seconds. Keep well above the
-  /// symmetric-jitter amplitude: zero-mean jitter averages out of the
-  /// EWMA, a real skew does not.
-  double activation_s = 0.005;
-  /// Frames observed before the first retune — lets the EWMA settle.
-  int min_frames = 10;
-};
 
 /// Aligns one camera's frame timestamps to the master clock. Stateful
 /// only in its statistics plus a drift EWMA; the correction itself is a
@@ -55,24 +37,12 @@ class TimestampResampler {
     double sum_abs_jitter_s = 0.0;
     double max_residual_s = 0.0;  ///< worst |corrected - master| after
     /// EWMA of the signed deviation — a persistent nonzero value reveals
-    /// constant clock skew rather than symmetric jitter. Resets to zero
-    /// at each retune (the skew moved into clock_offset_s).
+    /// constant clock skew rather than symmetric jitter.
     double drift_estimate_s = 0.0;
-    /// Times the drift feedback retuned the master-clock mapping.
-    long long retunes = 0;
-    /// Accumulated offset subtracted from delivered timestamps before
-    /// alignment (the camera clock runs this far ahead of the master).
-    double clock_offset_s = 0.0;
   };
 
   explicit TimestampResampler(double fps, double drift_alpha = 0.1)
-      : TimestampResampler(fps, drift_alpha, DriftFeedbackOptions{}) {}
-
-  TimestampResampler(double fps, double drift_alpha,
-                     DriftFeedbackOptions feedback)
-      : period_s_(fps > 0 ? 1.0 / fps : 0.0),
-        drift_alpha_(drift_alpha),
-        feedback_(feedback) {}
+      : period_s_(fps > 0 ? 1.0 / fps : 0.0), drift_alpha_(drift_alpha) {}
 
   /// Aligns `frame` (decoded as index `index`) to the master clock and
   /// returns the signed jitter that was removed. No-op when fps was 0.
@@ -82,12 +52,8 @@ class TimestampResampler {
   double period_s() const { return period_s_; }
 
  private:
-  /// Folds a settled drift EWMA into the clock offset (one retune).
-  void MaybeRetune();
-
   double period_s_;
   double drift_alpha_;
-  DriftFeedbackOptions feedback_;
   Stats stats_;
 };
 

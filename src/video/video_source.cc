@@ -66,34 +66,9 @@ Result<MultiCameraSource> MultiCameraSource::Create(
         "acquisition policy: retry_budget must be >= 0, "
         "min_camera_quorum and quarantine_after must be >= 1");
   }
-  if (policy.read_deadline_s < 0 || policy.readmit_backoff < 1.0) {
+  if (policy.read_deadline_s < 0) {
     return Status::InvalidArgument(
-        "acquisition policy: read_deadline_s must be >= 0, "
-        "readmit_backoff must be >= 1");
-  }
-  if (policy.adaptive_deadline.enabled) {
-    const AdaptiveDeadlineOptions& a = policy.adaptive_deadline;
-    if (policy.read_deadline_s <= 0) {
-      return Status::InvalidArgument(
-          "adaptive deadlines need a bounded starting point: "
-          "read_deadline_s must be > 0");
-    }
-    if (a.min_deadline_s <= 0 || a.max_deadline_s < a.min_deadline_s) {
-      return Status::InvalidArgument(
-          "adaptive deadlines: need 0 < min_deadline_s <= max_deadline_s");
-    }
-    if (a.quantile <= 0 || a.quantile >= 1 || a.headroom <= 0 ||
-        a.warmup_reads < 1) {
-      return Status::InvalidArgument(
-          "adaptive deadlines: quantile must be in (0, 1), headroom > 0, "
-          "warmup_reads >= 1");
-    }
-  }
-  if (policy.drift_feedback.enabled &&
-      (policy.drift_feedback.activation_s <= 0 ||
-       policy.drift_feedback.min_frames < 1)) {
-    return Status::InvalidArgument(
-        "drift feedback: activation_s must be > 0 and min_frames >= 1");
+        "acquisition policy: read_deadline_s must be >= 0");
   }
   const int frames = sources[0]->NumFrames();
   const double fps = sources[0]->Fps();
@@ -116,9 +91,7 @@ Result<MultiCameraSource> MultiCameraSource::Create(
   MultiCameraSource out;
   out.sources_ = std::move(sources);
   out.health_.resize(out.sources_.size());
-  out.resamplers_.assign(
-      out.sources_.size(),
-      TimestampResampler(fps, /*drift_alpha=*/0.1, policy.drift_feedback));
+  out.resamplers_.assign(out.sources_.size(), TimestampResampler(fps));
   out.policy_ = policy;
   out.num_frames_ = frames;
   out.fps_ = fps;
@@ -142,26 +115,10 @@ void MultiCameraSource::EnsureSupervisor() {
   for (const auto& s : sources_) raw.push_back(s.get());
   SupervisorOptions options;
   options.read_deadline_s = policy_.read_deadline_s;
-  options.watchdog_stall_s = policy_.watchdog_stall_s;
   options.backoff = policy_.retry_backoff;
   options.clock = policy_.clock;
-  options.adaptive = policy_.adaptive_deadline;
   supervisor_ =
       std::make_unique<AcquisitionSupervisor>(std::move(raw), options);
-}
-
-int MultiCameraSource::ReadmitCooldownFrames(
-    const CameraHealth& health) const {
-  if (policy_.readmit_after <= 0) return 0;  // never readmit
-  // Each consecutive failed probe multiplies the cooldown by
-  // readmit_backoff, up to a cap.
-  constexpr double kReadmitMaxCooldownFrames = 600;
-  const double frames =
-      std::min(policy_.readmit_after *
-                   std::pow(policy_.readmit_backoff, health.probe_failures),
-               kReadmitMaxCooldownFrames);
-  return std::max(policy_.readmit_after,
-                  static_cast<int>(std::llround(frames)));
 }
 
 void MultiCameraSource::DecideAdmission(int index, SynchronizedFrameSet* set,
@@ -174,10 +131,9 @@ void MultiCameraSource::DecideAdmission(int index, SynchronizedFrameSet* set,
     CameraFrame& slot = set->cameras[c];
 
     // Circuit breaker: an open camera is skipped entirely until the
-    // cooldown (grown by the readmission backoff on every failed probe)
-    // elapses, then probed once (half-open).
+    // readmit_after cooldown elapses, then probed once (half-open).
     if (health.breaker == CameraHealth::Breaker::kOpen) {
-      const int cooldown = ReadmitCooldownFrames(health);
+      const int cooldown = policy_.readmit_after;  // 0 = never readmit
       const bool cooldown_over =
           cooldown > 0 && index - health.quarantined_at_frame >= cooldown;
       if (!cooldown_over) {
@@ -231,7 +187,6 @@ void FoldOutcomes(const AcquisitionPolicy& policy, int index,
       }
       health.breaker = CameraHealth::Breaker::kClosed;
       health.consecutive_failures = 0;
-      health.probe_failures = 0;
       health.last_good = slot.frame;
       continue;
     }
@@ -246,11 +201,9 @@ void FoldOutcomes(const AcquisitionPolicy& policy, int index,
                            StrFormat("camera %zu frame %d", c, index));
 
     if (probing[c]) {
-      // Failed probe: back to open, cooldown restarts from this frame and
-      // grows with every consecutive failure.
+      // Failed probe: back to open, cooldown restarts from this frame.
       health.breaker = CameraHealth::Breaker::kOpen;
       health.quarantined_at_frame = index;
-      ++health.probe_failures;
       slot.status = CameraFrameStatus::kQuarantined;
       continue;
     }

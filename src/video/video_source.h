@@ -7,12 +7,13 @@
 /// Real capture hardware degrades — frames drop, links flap, cameras die,
 /// sources stall — so a synchronized read returns a per-camera
 /// SynchronizedFrameSet with health flags rather than all-or-nothing,
-/// governed by an AcquisitionPolicy (retry budget, hold-last-good
-/// fallback, quorum, a per-camera circuit breaker with backoff-paced
-/// readmission, and a wall-clock read deadline). Since PR 2 the reads
-/// themselves are asynchronous: an AcquisitionSupervisor runs one reader
-/// thread per camera, so a stalled source costs at most the deadline, not
-/// the stall, and delivered timestamps are re-synced to the master clock.
+/// governed by one fixed AcquisitionPolicy (retry budget, hold-last-good
+/// fallback, quorum, a per-camera circuit breaker with a constant
+/// readmission cooldown, and one wall-clock read deadline shared by every
+/// camera). The reads themselves are asynchronous: an AcquisitionSupervisor
+/// runs one reader thread per camera, so a stalled source costs at most
+/// the deadline, not the stall, and delivered timestamps are snapped to
+/// the master clock.
 
 #ifndef DIEVENT_VIDEO_VIDEO_SOURCE_H_
 #define DIEVENT_VIDEO_VIDEO_SOURCE_H_
@@ -24,7 +25,6 @@
 #include "common/backoff.h"
 #include "common/result.h"
 #include "image/image.h"
-#include "video/adaptive_deadline.h"
 #include "video/clock_resync.h"
 
 namespace dievent {
@@ -129,52 +129,35 @@ struct AcquisitionPolicy {
   /// Wall-clock budget for one synchronized read, seconds. A camera that
   /// does not answer in time becomes an ordinary failed read (absorbed by
   /// hold-last-good / the breaker). 0 = unbounded: identical outcomes to
-  /// the old synchronous path, stalls included.
+  /// the old synchronous path, stalls included. A reader busy past
+  /// 4 x this is interrupted and restarted by the watchdog (no watchdog
+  /// when unbounded).
   double read_deadline_s = 0.0;
-  /// A reader busy past this is interrupted and restarted by the
-  /// watchdog. 0 = derive as 4 * read_deadline_s (disabled if unbounded).
-  double watchdog_stall_s = 0.0;
   /// Pacing of retries inside one read (exponential, deterministic
   /// jitter); sleeps never extend past the read deadline.
   BackoffPolicy retry_backoff;
-  /// Readmission backoff: each consecutive failed probe multiplies the
-  /// next breaker cooldown by this factor (1.0 = constant cooldown, the
-  /// pre-supervisor behavior), capped at 600 frames.
-  double readmit_backoff = 1.0;
   /// Snap fresh frames' timestamps to the master clock (index / fps),
   /// correcting injected or real encoder clock jitter.
   bool resync_timestamps = true;
 
   // --- injectable timing (PR 5) -----------------------------------------
-  /// Time source for every acquisition timing decision (deadlines,
+  /// Time source for every acquisition timing decision (deadline,
   /// watchdog, backoff). Null = the real steady clock. Must outlive the
   /// source; tests inject a SimClock for deterministic timing.
   VirtualClock* clock = nullptr;
-  /// Per-camera adaptive read deadlines: when enabled, each camera's
-  /// deadline tracks its healthy read-latency percentile within
-  /// [min_deadline_s, max_deadline_s], starting from `read_deadline_s`
-  /// (which must be > 0).
-  AdaptiveDeadlineOptions adaptive_deadline;
-  /// Drift feedback: let each camera's resampler fold a settled drift
-  /// EWMA into its master-clock mapping instead of snapping frame by
-  /// frame (requires `resync_timestamps`).
-  DriftFeedbackOptions drift_feedback;
 };
 
 /// Per-camera acquisition health, maintained across GetFrames calls.
 struct CameraHealth {
   /// Circuit-breaker state machine: kClosed (healthy) -> kOpen
   /// (quarantined after `quarantine_after` consecutive failures) ->
-  /// kHalfOpen (probing after the readmission cooldown) -> kClosed again
+  /// kHalfOpen (probing every `readmit_after` frames) -> kClosed again
   /// on a successful probe.
   enum class Breaker { kClosed, kOpen, kHalfOpen };
 
   Breaker breaker = Breaker::kClosed;
   int consecutive_failures = 0;
   int quarantined_at_frame = -1;  ///< frame index that opened the breaker
-  /// Consecutive failed half-open probes since the breaker last opened;
-  /// drives the readmission backoff. Reset on readmission.
-  int probe_failures = 0;
   std::optional<VideoFrame> last_good;
 
   // Lifetime tallies for degradation reporting.
@@ -269,10 +252,6 @@ class MultiCameraSource {
   /// Blocks until the queue has room, then hands `set` to the consumer.
   /// Returns false if StopPrefetch was requested.
   bool PumpPush(SynchronizedFrameSet set);
-  /// Breaker cooldown before the next probe, in frames — grows with
-  /// consecutive failed probes under the readmission backoff.
-  int ReadmitCooldownFrames(const CameraHealth& health) const;
-
   std::vector<std::unique_ptr<VideoSource>> sources_;
   std::vector<CameraHealth> health_;
   std::vector<TimestampResampler> resamplers_;

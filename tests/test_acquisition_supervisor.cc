@@ -1,9 +1,9 @@
 // Async acquisition supervisor tests: a stalled camera must cost the
-// caller the configured deadline (not the stall), the watchdog must
-// interrupt and replace a wedged reader, readmission cooldowns must grow
-// under the backoff schedule, and delivered timestamps must land back on
-// the master clock. The SPSC queue and backoff primitives are pinned
-// directly.
+// caller the configured deadline (not the stall) — pinned exactly under
+// SimClock — the watchdog must interrupt and replace a wedged reader, a
+// quarantined camera must be probed every `readmit_after` frames, and
+// delivered timestamps must land back on the master clock. The SPSC
+// queue and backoff primitives are pinned directly.
 
 #include "video/acquisition_supervisor.h"
 
@@ -16,7 +16,10 @@
 
 #include "analysis/eye_contact.h"
 #include "common/backoff.h"
+#include "common/clock.h"
 #include "common/spsc_queue.h"
+#include "common/strings.h"
+#include "common/thread_annotations.h"
 #include "video/clock_resync.h"
 #include "video/fault_injection.h"
 #include "video/parser.h"
@@ -145,50 +148,17 @@ TEST(TimestampResampler, DriftEstimateTracksConstantSkew) {
   EXPECT_NEAR(resampler.stats().drift_estimate_s, 0.02, 1e-4);
 }
 
-TEST(TimestampResampler, DriftFeedbackRetunesTheMasterClockMapping) {
-  // A purely skewed camera (+20ms on every frame, no jitter) should cost
-  // one correction per frame only until the feedback loop folds the skew
-  // into the standing clock offset; afterwards the camera reads as clean.
-  // drift_alpha = 1 makes the EWMA equal the last deviation, so the
-  // retune fires on the first eligible frame and the folded offset is the
-  // skew itself up to float residue.
-  DriftFeedbackOptions feedback;
-  feedback.enabled = true;
-  feedback.activation_s = 0.005;
-  feedback.min_frames = 10;
-  TimestampResampler resampler(10.0, /*drift_alpha=*/1.0, feedback);
-  for (int f = 0; f < 30; ++f) {
-    VideoFrame frame;
-    frame.index = f;
-    frame.timestamp_s = f * 0.1 + 0.02;
-    resampler.Align(f, &frame);
-    if (f >= 10) {
-      // Post-retune the offset removes the skew before alignment; the
-      // sub-noise-floor residue is delivered uncorrected.
-      EXPECT_NEAR(frame.timestamp_s, f * 0.1, 1e-9) << "frame " << f;
-    } else {
-      EXPECT_DOUBLE_EQ(frame.timestamp_s, f * 0.1) << "frame " << f;
-    }
-  }
-  EXPECT_EQ(resampler.stats().retunes, 1);
-  EXPECT_EQ(resampler.stats().corrections, 10);  // frames 0..9 only
-  EXPECT_EQ(resampler.stats().misalignments, 0);
-  EXPECT_NEAR(resampler.stats().clock_offset_s, 0.02, 1e-12);
-  EXPECT_NEAR(resampler.stats().drift_estimate_s, 0.0, 1e-9);
-}
-
-TEST(TimestampResampler, DriftFeedbackIsOffByDefault) {
-  // Without the opt-in, a constant skew keeps costing a correction per
-  // frame and the mapping is never retuned — PR 1 behavior, unchanged.
+TEST(TimestampResampler, ConstantSkewIsCorrectedEveryFrame) {
+  // A constant skew is snapped back on every frame: the mapping to the
+  // master clock is fixed, so the skew never folds away.
   TimestampResampler resampler(10.0, /*drift_alpha=*/1.0);
   for (int f = 0; f < 30; ++f) {
     VideoFrame frame;
     frame.index = f;
     frame.timestamp_s = f * 0.1 + 0.02;
     resampler.Align(f, &frame);
+    EXPECT_DOUBLE_EQ(frame.timestamp_s, f * 0.1) << "frame " << f;
   }
-  EXPECT_EQ(resampler.stats().retunes, 0);
-  EXPECT_DOUBLE_EQ(resampler.stats().clock_offset_s, 0.0);
   EXPECT_EQ(resampler.stats().corrections, 30);
 }
 
@@ -254,6 +224,124 @@ TEST(AcquisitionSupervisor, DestructionWithWedgedReaderDoesNotHang) {
   EXPECT_LT(SecondsSince(start), 5.0);
 }
 
+// --- the static deadline under SimClock ----------------------------------
+
+/// A camera whose reads take a fixed simulated latency: GetFrame sleeps on
+/// the injected clock, so under SimClock the read costs exactly that much
+/// simulated time and no wall time.
+class SlowSource : public VideoSource {
+ public:
+  SlowSource(VirtualClock* clock, double latency_s)
+      : clock_(clock), latency_s_(latency_s) {}
+
+  int NumFrames() const override { return 50; }
+  double Fps() const override { return 10.0; }
+  Result<VideoFrame> GetFrame(int index) override {
+    clock_->SleepFor(VirtualClock::FromSeconds(latency_s_));
+    VideoFrame f;
+    f.index = index;
+    f.timestamp_s = index / Fps();
+    f.image = ImageRgb(4, 4, 3);
+    return f;
+  }
+
+ private:
+  VirtualClock* clock_;
+  const double latency_s_;
+};
+
+/// A camera that never answers: GetFrame parks in an untimed clock wait
+/// until Interrupt(). Untimed, so SimClock auto-advance never steps time
+/// on its behalf — the clock moves only for the caller's deadline.
+class WedgedSource : public VideoSource {
+ public:
+  explicit WedgedSource(VirtualClock* clock) : clock_(clock) {}
+
+  int NumFrames() const override { return 50; }
+  double Fps() const override { return 10.0; }
+  Result<VideoFrame> GetFrame(int index) override {
+    MutexLock lock(mutex_);
+    while (!interrupted_) clock_->Wait(mutex_, cv_);
+    return Status::Cancelled(StrFormat("frame %d interrupted", index));
+  }
+  void Interrupt() override {
+    MutexLock lock(mutex_);
+    interrupted_ = true;
+    clock_->NotifyAll(mutex_, cv_);
+  }
+
+ private:
+  VirtualClock* clock_;
+  Mutex mutex_{LockRank::kSourceInterrupt};
+  CondVar cv_;
+  bool interrupted_ GUARDED_BY(mutex_) = false;
+};
+
+TEST(AcquisitionSupervisor, StaticDeadlineCutsOffTheStalledCameraExactly) {
+  // Camera 0 answers in 10ms, camera 1 never does. The one deadline
+  // shared by both cameras ends the read at exactly 30ms of simulated
+  // time: camera 0's frame is kept, camera 1 is a deadline miss.
+  SimClock::Options sim_options;
+  sim_options.auto_advance = true;
+  SimClock sim(sim_options);
+  SlowSource fast(&sim, 0.01);
+  WedgedSource stalled(&sim);
+  SupervisorOptions options;
+  options.read_deadline_s = 0.03;
+  options.clock = &sim;
+  AcquisitionSupervisor supervisor({&fast, &stalled}, options);
+
+  std::vector<AcquisitionSupervisor::ReadOutcome> out =
+      supervisor.Read(0, {1, 1});
+  EXPECT_EQ(sim.Now().time_since_epoch(), VirtualClock::FromSeconds(0.03));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_TRUE(out[0].ok()) << out[0].error;
+  EXPECT_FALSE(out[0].deadline_missed);
+  EXPECT_FALSE(out[1].ok());
+  EXPECT_TRUE(out[1].deadline_missed);
+  EXPECT_EQ(out[1].error.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(out[1].error.message().find("no response within 0.030s"),
+            std::string::npos)
+      << out[1].error;
+  EXPECT_EQ(supervisor.stats(0).deadline_misses, 0);
+  EXPECT_EQ(supervisor.stats(1).deadline_misses, 1);
+}
+
+TEST(AcquisitionSupervisor, HealthyReadsTakeExactlyTheirSimulatedLatency) {
+  // Reads well inside the deadline cost their own latency, never the
+  // deadline: 10 reads of 1ms take exactly 10ms of simulated time.
+  SimClock::Options sim_options;
+  sim_options.auto_advance = true;
+  SimClock sim(sim_options);
+  SlowSource source(&sim, 0.001);
+  SupervisorOptions options;
+  options.read_deadline_s = 0.05;
+  options.clock = &sim;
+  AcquisitionSupervisor supervisor({&source}, options);
+  for (int f = 0; f < 10; ++f) {
+    std::vector<AcquisitionSupervisor::ReadOutcome> out =
+        supervisor.Read(f, {1});
+    ASSERT_TRUE(out[0].ok()) << "frame " << f << ": " << out[0].error;
+  }
+  EXPECT_EQ(sim.Now().time_since_epoch(),
+            10 * VirtualClock::FromSeconds(0.001));
+  EXPECT_EQ(supervisor.stats(0).deadline_misses, 0);
+}
+
+TEST(AcquisitionPolicy, CreateValidatesTheReadDeadline) {
+  auto make = [](double read_deadline_s) {
+    AcquisitionPolicy policy;
+    policy.read_deadline_s = read_deadline_s;
+    std::vector<std::unique_ptr<VideoSource>> sources;
+    sources.push_back(
+        std::make_unique<MemoryVideoSource>(std::vector<ImageRgb>(4), 10.0));
+    return MultiCameraSource::Create(std::move(sources), policy);
+  };
+  EXPECT_TRUE(make(0.05).ok());
+  EXPECT_TRUE(make(0.0).ok());  // unbounded
+  EXPECT_EQ(make(-0.01).status().code(), StatusCode::kInvalidArgument);
+}
+
 // --- watchdog restart ----------------------------------------------------
 
 TEST(AcquisitionSupervisor, WatchdogInterruptsAndRestartsWedgedReader) {
@@ -265,7 +353,6 @@ TEST(AcquisitionSupervisor, WatchdogInterruptsAndRestartsWedgedReader) {
   policy.hold_last_good = false;
   policy.quarantine_after = 1000;  // keep the breaker out of the picture
   policy.read_deadline_s = 0.02;
-  policy.watchdog_stall_s = 0.05;
   std::vector<std::unique_ptr<VideoSource>> sources;
   sources.push_back(Camera(stall));
   auto multi = MultiCameraSource::Create(std::move(sources), policy);
@@ -295,43 +382,11 @@ TEST(AcquisitionSupervisor, WatchdogInterruptsAndRestartsWedgedReader) {
   EXPECT_GE(injector->counters().interrupts, 1);
 }
 
-// --- backoff-to-readmission sequencing -----------------------------------
-
-TEST(AcquisitionSupervisor, ReadmissionCooldownGrowsWithFailedProbes) {
-  // Camera dead until frame 60. With readmit_after=4 and backoff 2.0 the
-  // probes land at 4, 12, 28, 60 (cooldowns 4, 8, 16, 32) — and only the
-  // last one readmits.
-  FaultSpec spec;
-  spec.flaky_windows = {{0, 60}};
-  AcquisitionPolicy policy;
-  policy.retry_budget = 0;
-  policy.hold_last_good = false;
-  policy.quarantine_after = 1;
-  policy.readmit_after = 4;
-  policy.readmit_backoff = 2.0;
-  std::vector<std::unique_ptr<VideoSource>> sources;
-  sources.push_back(Camera(spec, /*n=*/70));
-  auto multi = MultiCameraSource::Create(std::move(sources), policy);
-  ASSERT_TRUE(multi.ok());
-  auto* injector = static_cast<FaultyVideoSource*>(&multi.value().source(0));
-
-  std::vector<int> probed_at;
-  long long last_attempts = 0;
-  for (int f = 0; f <= 60; ++f) {  // stop at the successful probe
-    ASSERT_TRUE(multi.value().GetFrames(f).ok());
-    const long long attempts = injector->counters().attempts;
-    if (attempts != last_attempts) probed_at.push_back(f);
-    last_attempts = attempts;
-  }
-  EXPECT_EQ(probed_at, (std::vector<int>{0, 4, 12, 28, 60}));
-  EXPECT_EQ(multi.value().health(0).readmissions, 1);
-  EXPECT_EQ(multi.value().health(0).probe_failures, 0);  // reset on success
-  EXPECT_TRUE(multi.value().QuarantinedCameras().empty());
-}
+// --- readmission sequencing ----------------------------------------------
 
 TEST(AcquisitionSupervisor, ConstantCooldownIsTheDefault) {
-  // readmit_backoff = 1.0 reproduces the pre-supervisor schedule: probes
-  // every readmit_after frames.
+  // A quarantined camera is probed every readmit_after frames, however
+  // many probes have failed before.
   FaultSpec spec;
   spec.flaky_windows = {{0, 22}};
   AcquisitionPolicy policy;

@@ -13,6 +13,7 @@
 #include "io/faulty_file.h"
 #include "io/journal.h"
 #include "metadata/record_codec.h"
+#include "video/video_structure.h"
 
 namespace dievent {
 namespace {
@@ -452,6 +453,45 @@ TEST(DurableStore, MutationsAfterCloseFailCleanly) {
   EXPECT_EQ(store.value()->Checkpoint().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_TRUE(store.value()->Close().ok());  // idempotent
+}
+
+TEST(DurableStore, MutationsAfterCloseLeaveStateUntouched) {
+  const std::string dir = FreshDir("store_closed_state");
+  auto store = DurableEventStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  DurableEventStore& s = *store.value();
+  PopulateStore(&s, 2);
+  ASSERT_TRUE(s.Close().ok());
+
+  // Every single-record mutator refuses a closed store before applying
+  // anything in memory.
+  EmotionRecord er;
+  er.frame = 5;
+  OverallEmotionRecord oe;
+  oe.frame = 5;
+  EventContext other = Ctx();
+  other.event_id = "evt-after-close";
+  VideoStructure structure;
+  structure.fps = 30.0;
+  structure.scenes.resize(1);
+  structure.scenes[0].shots.resize(1);
+  structure.scenes[0].shots[0].end_frame = 5;
+  const StatusCode precondition = StatusCode::kFailedPrecondition;
+  EXPECT_EQ(s.AddLookAt(La(5, 0.5, 3, {{0, 2}})).code(), precondition);
+  EXPECT_EQ(s.AddEmotion(er).code(), precondition);
+  EXPECT_EQ(s.AddOverallEmotion(oe).code(), precondition);
+  EXPECT_EQ(s.SetContext(other).code(), precondition);
+  EXPECT_EQ(s.SetFps(99.0).code(), precondition);
+  EXPECT_EQ(s.SetVideoStructure(structure).code(), precondition);
+
+  const MetadataRepository& repo = s.repository();
+  EXPECT_EQ(repo.lookat_records().size(), 2u);
+  EXPECT_EQ(repo.emotion_records().size(), 2u);
+  EXPECT_EQ(repo.overall_records().size(), 2u);
+  EXPECT_EQ(repo.fps(), 10.0);
+  EXPECT_EQ(repo.context().event_id, "evt-durable");
+  EXPECT_TRUE(repo.shots().empty());
+  EXPECT_EQ(repo.NumScenes(), 0);
 }
 
 }  // namespace
