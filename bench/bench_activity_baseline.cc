@@ -20,6 +20,7 @@
 
 #include "analysis/activity.h"
 #include "ml/hmm.h"
+#include "perf_smoke.h"
 #include "sim/scenario.h"
 
 namespace dievent {
@@ -161,9 +162,5 @@ BENCHMARK(BM_RuleClassifier)->Unit(benchmark::kMicrosecond);
 }  // namespace dievent
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dievent::ComparisonReport();
-  return 0;
+  return dievent::bench::BenchMain(argc, argv, nullptr, dievent::ComparisonReport);
 }

@@ -10,6 +10,7 @@
 
 #include "analysis/overall_emotion.h"
 #include "ml/emotion_recognizer.h"
+#include "perf_smoke.h"
 #include "render/face_renderer.h"
 #include "sim/scenario.h"
 
@@ -137,10 +138,8 @@ BENCHMARK(BM_RecognizeCrop)->Unit(benchmark::kMicrosecond);
 }  // namespace dievent
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dievent::AccuracyReport();
-  dievent::OverallEmotionTrace();
-  return 0;
+  return dievent::bench::BenchMain(argc, argv, nullptr, [] {
+    dievent::AccuracyReport();
+    dievent::OverallEmotionTrace();
+  });
 }

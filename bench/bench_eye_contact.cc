@@ -16,6 +16,7 @@
 #include "analysis/eye_contact.h"
 #include "common/rng.h"
 #include "geometry/ray.h"
+#include "perf_smoke.h"
 #include "sim/scenario.h"
 
 namespace dievent {
@@ -127,9 +128,5 @@ void NoiseSweep() {
 }  // namespace dievent
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dievent::NoiseSweep();
-  return 0;
+  return dievent::bench::BenchMain(argc, argv, nullptr, dievent::NoiseSweep);
 }

@@ -382,9 +382,6 @@ int RunPerfSmoke(const std::string& path) {
 }  // namespace dievent
 
 int main(int argc, char** argv) {
-  if (auto path = dievent::bench::PerfSmokePath(argc, argv)) {
-    return dievent::RunPerfSmoke(*path);
-  }
   for (const dievent::Kernel& kernel : dievent::kKernels) {
     benchmark::RegisterBenchmark(
         (std::string("BM_") + kernel.name + "/scalar").c_str(),
@@ -395,9 +392,5 @@ int main(int argc, char** argv) {
         [&kernel](benchmark::State& s) { dievent::BM_Kernel(s, kernel, true); })
         ->Unit(benchmark::kMillisecond);
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return dievent::bench::BenchMain(argc, argv, dievent::RunPerfSmoke);
 }

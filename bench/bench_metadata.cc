@@ -686,13 +686,6 @@ int RunPerfSmoke(const std::string& path) {
 }  // namespace dievent
 
 int main(int argc, char** argv) {
-  if (auto path = dievent::bench::PerfSmokePath(argc, argv)) {
-    return dievent::RunPerfSmoke(*path);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dievent::ScaleReport();
-  return 0;
+  return dievent::bench::BenchMain(argc, argv, dievent::RunPerfSmoke,
+                                   dievent::ScaleReport);
 }

@@ -315,12 +315,5 @@ int RunPerfSmoke(const std::string& path) {
 }  // namespace dievent
 
 int main(int argc, char** argv) {
-  if (auto path = dievent::bench::PerfSmokePath(argc, argv)) {
-    return dievent::RunPerfSmoke(*path);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return dievent::bench::BenchMain(argc, argv, dievent::RunPerfSmoke);
 }

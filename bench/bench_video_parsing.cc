@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
+#include "perf_smoke.h"
 #include "sim/scenario.h"
 #include "video/parser.h"
 #include "video/synthetic_source.h"
@@ -150,9 +151,5 @@ BENCHMARK(BM_ParseFromSignatures)->Unit(benchmark::kMillisecond);
 }  // namespace dievent
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dievent::QualityReport();
-  return 0;
+  return dievent::bench::BenchMain(argc, argv, nullptr, dievent::QualityReport);
 }

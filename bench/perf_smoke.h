@@ -1,31 +1,50 @@
 /// \file perf_smoke.h
-/// The `--perf_smoke=PATH` convention shared by the gated benches: the
-/// flag lookup and the JSON writer behind every BENCH_*.json snapshot.
+/// The main() every google-benchmark bench shares, with the gated
+/// benches' `--perf_smoke=PATH` mode, and the JSON writer behind every
+/// BENCH_*.json snapshot.
 
 #ifndef DIEVENT_BENCH_PERF_SMOKE_H_
 #define DIEVENT_BENCH_PERF_SMOKE_H_
 
+#include <benchmark/benchmark.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <type_traits>
 
+#include "common/flags.h"
+
 namespace dievent {
 namespace bench {
 
-/// PATH from a `--perf_smoke=PATH` argument, or nullopt when absent.
-inline std::optional<std::string> PerfSmokePath(int argc, char** argv) {
-  constexpr std::string_view kFlag = "--perf_smoke=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.substr(0, kFlag.size()) == kFlag) {
-      return std::string(arg.substr(kFlag.size()));
-    }
+/// main() of every google-benchmark bench. Once an argument starts with
+/// `--perf_smoke`, a gated bench parses argv as the perf-smoke command
+/// line and runs `perf_smoke(PATH)`. Otherwise argv goes to
+/// google-benchmark, then `after` runs. Usage errors exit 2.
+inline int BenchMain(int argc, char** argv,
+                     int (*perf_smoke)(const std::string& path),
+                     void (*after)() = nullptr) {
+  if (perf_smoke != nullptr &&
+      std::any_of(argv + 1, argv + argc, [](std::string_view arg) {
+        return arg.starts_with("--perf_smoke");
+      })) {
+    std::string path;
+    FlagParser flags(argv[0], "");
+    flags.String("perf_smoke", &path, "PATH",
+                 "run the perf-smoke gate, write its JSON snapshot to PATH");
+    flags.ParseOrExit(argc, argv);
+    return perf_smoke(path);
   }
-  return std::nullopt;
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  if (after != nullptr) after();
+  return 0;
 }
 
 /// Builds one JSON object with keys in insertion order. Begin(key) opens a

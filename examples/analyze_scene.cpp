@@ -2,46 +2,37 @@
 // (see examples/sample_scene.cfg), run the DiEvent pipeline, and print
 // the full report — no recompilation needed to explore new scenarios.
 //
-// Usage: analyze_scene <scene.cfg> [--vision] [--save <repo.dmr>]
+//   analyze_scene examples/sample_scene.cfg --vision --save out.dmr
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "common/flags.h"
 #include "core/pipeline.h"
 #include "metadata/engagement.h"
 #include "sim/scene_config.h"
 
 int main(int argc, char** argv) {
   using namespace dievent;
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <scene.cfg> [--vision] [--save <repo.dmr>]\n",
-                 argv[0]);
-    return 2;
-  }
+  std::string config_path;
   bool vision = false;
   std::string save_path;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--vision") == 0) {
-      vision = true;
-    } else if (std::strcmp(argv[i], "--save") == 0 && i + 1 < argc) {
-      save_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
-  }
+  FlagParser flags("analyze_scene",
+                   "Runs the pipeline on <scene.cfg>, prints the report.");
+  flags.Bool("vision", &vision, "full vision stack instead of ground truth");
+  flags.String("save", &save_path, "PATH", "save the repository to PATH");
+  flags.Positional("scene.cfg", &config_path);
+  flags.ParseOrExit(argc, argv);
 
-  auto scene = LoadSceneConfig(argv[1]);
+  auto scene = LoadSceneConfig(config_path);
   if (!scene.ok()) {
-    std::fprintf(stderr, "cannot load %s: %s\n", argv[1],
+    std::fprintf(stderr, "cannot load %s: %s\n", config_path.c_str(),
                  scene.status().ToString().c_str());
     return 1;
   }
   std::printf("loaded %s: %d participants, %d cameras, %d frames @ %.2f "
               "fps\n\n",
-              argv[1], scene.value().NumParticipants(),
+              config_path.c_str(), scene.value().NumParticipants(),
               scene.value().rig().NumCameras(),
               scene.value().num_frames(), scene.value().fps());
 

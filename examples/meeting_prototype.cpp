@@ -2,13 +2,12 @@
 // four synchronized cameras on the room corners, a 40 s / 610-frame
 // meeting of four participants, per-frame look-at matrices, the Fig. 9
 // summary, and the Fig. 7/8 top-view maps — all written to disk.
-//
-// Usage: meeting_prototype [output_dir]
 
 #include <cstdio>
 #include <string>
 
 #include "analysis/topview_map.h"
+#include "common/flags.h"
 #include "core/pipeline.h"
 #include "image/pnm_io.h"
 #include "ml/face_recognizer.h"
@@ -116,5 +115,11 @@ int Run(const std::string& out_dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return Run(argc > 1 ? argv[1] : ".");
+  std::string out_dir = ".";
+  dievent::FlagParser flags("meeting_prototype",
+                            "Writes its images and repository to <output-dir>"
+                            " (default: .).");
+  flags.Positional("output-dir", &out_dir, /*required=*/false);
+  flags.ParseOrExit(argc, argv);
+  return Run(out_dir);
 }

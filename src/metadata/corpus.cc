@@ -293,9 +293,13 @@ Status EventCorpus::RegisterShard(const std::string& store_dir) {
   }
   const std::string path =
       (!rel.empty() && rel[0] == '/') ? rel : JoinPath(dir_, rel);
-
   DIEVENT_ASSIGN_OR_RETURN(MetadataRepository loaded,
                            DurableEventStore::LoadState(fs(), path));
+  // LoadState reads a missing directory as an empty store; publishing
+  // that would hide a mistyped path behind a shard with no records.
+  if (loaded.TotalRecords() == 0 && !fs()->Exists(path)) {
+    return Status::NotFound("no store directory " + path);
+  }
   ShardIndexEntry entry = IndexRepository(loaded, rel);
   auto repo = std::make_shared<MetadataRepository>(std::move(loaded));
   (void)repo->LookAtTimeBounds();

@@ -140,7 +140,8 @@ class EventCorpus {
   /// fleet scheduler's completion hook). `store_dir` may be absolute or
   /// relative to the corpus root; it is indexed read-only — the owner
   /// may keep the directory open. Re-registering an already-registered
-  /// directory refreshes its index entry.
+  /// directory refreshes its index entry. NotFound if the directory does
+  /// not exist.
   Status RegisterShard(const std::string& store_dir) EXCLUDES(mu_);
 
   // --- query ----------------------------------------------------------

@@ -234,6 +234,24 @@ TEST(CorpusTest, RegisterShardPublishesExternalStoreAndRefreshes) {
   EXPECT_EQ(result.value().events[0].frames.size(), 16u);
 }
 
+TEST(CorpusTest, RegisterShardRefusesAMissingStoreDirectory) {
+  const std::string dir = FreshCorpusDir("corpus_register_missing");
+  auto corpus = EventCorpus::Open(dir);
+  ASSERT_TRUE(corpus.ok());
+  // A relative path resolves against the corpus root, where no such
+  // store exists: the shard is refused, not published empty.
+  for (const std::string& store_dir :
+       {std::string("tenant-9"), JoinPath(dir, "tenant-9")}) {
+    Status s = corpus.value()->RegisterShard(store_dir);
+    EXPECT_EQ(s.code(), StatusCode::kNotFound) << store_dir << ": " << s;
+  }
+  EXPECT_TRUE(corpus.value()->shards().empty());
+  // An existing store with no records is a real, empty shard.
+  ASSERT_TRUE(FileSystem::Default()->CreateDir(JoinPath(dir, "tenant-9")).ok());
+  EXPECT_TRUE(corpus.value()->RegisterShard("tenant-9").ok());
+  EXPECT_EQ(corpus.value()->shards().size(), 1u);
+}
+
 TEST(CorpusTest, ScopePredicatesFilterAgainstTheManifestAlone) {
   const std::string dir = FreshCorpusDir("corpus_scope");
   auto corpus = EventCorpus::Open(dir);

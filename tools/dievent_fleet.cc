@@ -1,187 +1,82 @@
 /// \file dievent_fleet.cc
-/// Run a directory of scenario configs as a multi-tenant fleet.
+/// Runs a directory of scenario configs as a multi-tenant fleet:
 ///
-/// Usage:
-///   dievent_fleet [options] <scenario-dir>
-///
-/// Every `*.scene` file under <scenario-dir> (see sim/scene_config.h for
-/// the format) becomes one tenant of the event scheduler: its own
-/// ground-truth pipeline, its own durable store directory under --out,
-/// its own error budget. Tenants run up to --max-concurrent at a time;
-/// failures are retried with capped exponential backoff and parked when
-/// the budget is spent, while healthy tenants keep draining. A tenant's
-/// priority comes from its file name: `name.low.scene` and
-/// `name.high.scene` mark low/high; everything else is normal.
+///   dievent_fleet --out /data/fleet --max-concurrent 4 scenarios/
+///   dievent_fsck --fleet /data/fleet   # inspect the stores afterwards
 ///
 /// Exit codes:
 ///   0  every admitted tenant completed
 ///   1  at least one tenant was parked (its error budget ran out)
 ///   2  usage or environmental error (bad flag or flag value, unreadable
 ///      directory, unparsable scene)
-///
-/// Inspect the stores afterwards with `dievent_fsck --fleet <out>`.
 
 #include <algorithm>
-#include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
+#include "common/flags.h"
 #include "fleet/scheduler.h"
 #include "io/file.h"
 #include "metadata/corpus.h"
 #include "sim/scene_config.h"
 
-namespace {
-
-void PrintUsage(std::FILE* out) {
-  std::fputs(
-      "usage: dievent_fleet [options] <scenario-dir>\n"
-      "  Runs every *.scene config in <scenario-dir> as one tenant of\n"
-      "  the multi-tenant event scheduler (ground-truth mode); a free\n"
-      "  runner starts the highest-priority waiting tenant.\n"
-      "  Numeric values must be non-negative and fit an int.\n"
-      "options:\n"
-      "  --out DIR             fleet root for per-tenant durable stores\n"
-      "                        (default: in-memory only)\n"
-      "  --max-concurrent N    runner parallelism, >= 1 (default 2)\n"
-      "  --max-attempts N      error budget per tenant, >= 1 (default 3)\n"
-      "  --watchdog S          interrupt a tenant committing no frame\n"
-      "                        for S seconds (default: off)\n"
-      "  --checkpoint-every N  checkpoint stores every N frames\n"
-      "                        (default 8)\n"
-      "  --shed-above N        shed low-priority admissions while N or\n"
-      "                        more tenants wait (default: off)\n"
-      "  --defer-latency S     defer low-priority dispatch while the\n"
-      "                        fleet P95 frame latency exceeds S seconds\n"
-      "                        (default: off)\n"
-      "  --corpus DIR          register each completed tenant's store\n"
-      "                        into the event corpus at DIR (needs --out;\n"
-      "                        query it with dievent_query)\n"
-      "  --parse-video         enable video composition analysis\n",
-      out);
-}
-
-/// Accepts a whole decimal integer in [min, INT_MAX].
-bool ParseIntFlag(const char* value, int min, int* out) {
-  char* end = nullptr;
-  errno = 0;
-  long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE) return false;
-  if (parsed < min || parsed > INT_MAX) return false;
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-/// Accepts a finite number of seconds in [0, INT_MAX]; the bound keeps
-/// the value convertible to a clock duration.
-bool ParseSecondsFlag(const char* value, double* out) {
-  char* end = nullptr;
-  double parsed = std::strtod(value, &end);
-  if (end == value || *end != '\0') return false;
-  if (!std::isfinite(parsed) || parsed < 0 || parsed > INT_MAX) return false;
-  *out = parsed;
-  return true;
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   dievent::SchedulerOptions sched;
   sched.checkpoint_every_frames = 8;
+  int shed_above = 0;
   std::string scenario_dir;
   std::string out_dir;
   std::string corpus_dir;
   bool parse_video = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      PrintUsage(stdout);
-      return 0;
-    } else if (std::strcmp(arg, "--out") == 0) {
-      const char* v = next();
-      if (v == nullptr) {
-        std::fprintf(stderr, "dievent_fleet: --out needs a value\n");
-        return 2;
-      }
-      out_dir = v;
-    } else if (std::strcmp(arg, "--corpus") == 0) {
-      const char* v = next();
-      if (v == nullptr) {
-        std::fprintf(stderr, "dievent_fleet: --corpus needs a value\n");
-        return 2;
-      }
-      corpus_dir = v;
-    } else if (std::strcmp(arg, "--parse-video") == 0) {
-      parse_video = true;
-    } else {
-      int* int_target = nullptr;
-      int int_min = 0;
-      double* double_target = nullptr;
-      int shed_above = 0;
-      if (std::strcmp(arg, "--max-concurrent") == 0) {
-        int_target = &sched.max_concurrent;
-        int_min = 1;
-      } else if (std::strcmp(arg, "--max-attempts") == 0) {
-        int_target = &sched.max_attempts;
-        int_min = 1;
-      } else if (std::strcmp(arg, "--checkpoint-every") == 0) {
-        int_target = &sched.checkpoint_every_frames;
-      } else if (std::strcmp(arg, "--shed-above") == 0) {
-        int_target = &shed_above;
-      } else if (std::strcmp(arg, "--watchdog") == 0) {
-        double_target = &sched.watchdog_deadline_s;
-      } else if (std::strcmp(arg, "--defer-latency") == 0) {
-        double_target = &sched.defer_latency_above_s;
-      } else if (arg[0] == '-') {
-        std::fprintf(stderr, "dievent_fleet: unknown option '%s'\n", arg);
-        PrintUsage(stderr);
-        return 2;
-      } else if (!scenario_dir.empty()) {
-        std::fprintf(stderr,
-                     "dievent_fleet: more than one directory given\n");
-        return 2;
-      } else {
-        scenario_dir = arg;
-        continue;
-      }
-      const char* v = next();
-      if (v == nullptr ||
-          (int_target != nullptr && !ParseIntFlag(v, int_min, int_target)) ||
-          (double_target != nullptr &&
-           !ParseSecondsFlag(v, double_target))) {
-        std::fprintf(stderr, "dievent_fleet: bad value for %s\n", arg);
-        return 2;
-      }
-      if (int_target == &shed_above) {
-        sched.shed_waiting_above = static_cast<size_t>(shed_above);
-      }
-    }
-  }
-  if (scenario_dir.empty()) {
-    PrintUsage(stderr);
-    return 2;
-  }
+  dievent::FlagParser flags(
+      "dievent_fleet",
+      "Runs every *.scene config (sim/scene_config.h) in <scenario-dir> as\n"
+      "one ground-truth tenant of the event scheduler; a free runner starts\n"
+      "the highest-priority waiting tenant (x.low.scene, x.high.scene).");
+  flags.String("out", &out_dir, "DIR",
+               "root of the per-tenant durable stores\n(default: in memory)");
+  flags.Int("max-concurrent", &sched.max_concurrent, 1, 256,
+            "runner threads (default 2)");
+  flags.Int("max-attempts", &sched.max_attempts, 1, INT_MAX,
+            "error budget per tenant (default 3)");
+  flags.Double("watchdog", &sched.watchdog_deadline_s, 0, INT_MAX,
+               "interrupt a tenant committing no frame for X seconds\n"
+               "(default: off)");
+  flags.Int("checkpoint-every", &sched.checkpoint_every_frames, 0, INT_MAX,
+            "checkpoint stores every N frames (default 8)");
+  flags.Int("shed-above", &shed_above, 0, INT_MAX,
+            "shed low-priority admissions while N or more tenants\n"
+            "wait (default: off)");
+  flags.Double("defer-latency", &sched.defer_latency_above_s, 0, INT_MAX,
+               "defer low-priority dispatch while the fleet P95 frame\n"
+               "latency exceeds X seconds (default: off)");
+  flags.String("corpus", &corpus_dir, "DIR",
+               "publish each completed tenant's store to the event\n"
+               "corpus at DIR (needs --out; query it with dievent_query)");
+  flags.Bool("parse-video", &parse_video, "enable video composition analysis");
+  flags.Positional("scenario-dir", &scenario_dir);
+  flags.ParseOrExit(argc, argv);
+  sched.shed_waiting_above = static_cast<size_t>(shed_above);
   if (!corpus_dir.empty() && out_dir.empty()) {
-    std::fprintf(stderr,
-                 "dievent_fleet: --corpus needs --out (only tenants with "
-                 "a durable store can be registered)\n");
-    return 2;
+    flags.Fail("--corpus needs --out: only stores can be registered");
+  }
+  // The corpus resolves a relative store path against its own root, not
+  // the working directory: hand it absolute paths.
+  std::error_code error;
+  for (std::string* dir : {&out_dir, &corpus_dir}) {
+    if (!dir->empty()) *dir = std::filesystem::absolute(*dir, error).string();
+    if (error) {
+      std::fprintf(stderr, "dievent_fleet: %s\n", error.message().c_str());
+      return 2;
+    }
   }
 
   // The corpus must outlive the scheduler that registers into it.
@@ -189,10 +84,7 @@ int main(int argc, char** argv) {
   if (!corpus_dir.empty()) {
     auto opened = dievent::EventCorpus::Open(corpus_dir);
     if (!opened.ok()) {
-      std::fprintf(stderr, "dievent_fleet: --corpus %s: %s\n",
-                   corpus_dir.c_str(),
-                   opened.status().ToString().c_str());
-      return 2;
+      return flags.Error(opened.status().WithContext("--corpus " + corpus_dir));
     }
     corpus = std::move(opened).TakeValue();
     sched.corpus = corpus.get();
@@ -200,11 +92,7 @@ int main(int argc, char** argv) {
 
   dievent::FileSystem* fs = dievent::FileSystem::Default();
   auto listing = fs->ListDir(scenario_dir);
-  if (!listing.ok()) {
-    std::fprintf(stderr, "dievent_fleet: %s\n",
-                 listing.status().ToString().c_str());
-    return 2;
-  }
+  if (!listing.ok()) return flags.Error(listing.status());
   std::vector<std::string> names = std::move(listing).TakeValue();
   std::sort(names.begin(), names.end());
 
@@ -214,14 +102,10 @@ int main(int argc, char** argv) {
   dievent::EventScheduler scheduler(sched);
   int admitted = 0;
   for (const std::string& name : names) {
-    if (!EndsWith(name, ".scene")) continue;
+    if (!name.ends_with(".scene")) continue;
     auto scene =
         dievent::LoadSceneConfig(dievent::JoinPath(scenario_dir, name));
-    if (!scene.ok()) {
-      std::fprintf(stderr, "dievent_fleet: %s: %s\n", name.c_str(),
-                   scene.status().ToString().c_str());
-      return 2;
-    }
+    if (!scene.ok()) return flags.Error(scene.status().WithContext(name));
     scenes.push_back(std::move(scene).TakeValue());
 
     dievent::EventJobSpec spec;
@@ -229,10 +113,10 @@ int main(int argc, char** argv) {
     spec.scene = &scenes.back();
     spec.pipeline.mode = dievent::PipelineMode::kGroundTruth;
     spec.pipeline.parse_video = parse_video;
-    if (EndsWith(spec.name, ".low")) {
+    if (spec.name.ends_with(".low")) {
       spec.priority = dievent::JobPriority::kLow;
       spec.name.resize(spec.name.size() - std::strlen(".low"));
-    } else if (EndsWith(spec.name, ".high")) {
+    } else if (spec.name.ends_with(".high")) {
       spec.priority = dievent::JobPriority::kHigh;
       spec.name.resize(spec.name.size() - std::strlen(".high"));
     }

@@ -1,15 +1,8 @@
 /// \file dievent_fsck.cc
-/// Scrub / verify / repair a DurableEventStore directory from the
-/// command line.
+/// Scrubs, verifies and repairs DurableEventStore directories:
 ///
-/// Usage:
-///   dievent_fsck <store-dir>            verify only (disk untouched)
-///   dievent_fsck --repair <store-dir>   verify, apply safe repairs,
-///                                       then reopen the store to prove
-///                                       recovery works
-///   dievent_fsck --fleet <root>         scan every per-event store
-///                                       directory under a fleet root
-///                                       (combines with --repair)
+///   dievent_fsck /data/events/dinner-2026-08-08  # verify only
+///   dievent_fsck --fleet --repair /data/fleet    # fix every store
 ///
 /// Exit codes:
 ///   0  clean store(s), or repairs applied and the store(s) reopen
@@ -19,81 +12,43 @@
 ///   2  usage or environmental error (missing directory, unreadable)
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "common/flags.h"
 #include "io/file.h"
 #include "metadata/fsck.h"
-
-namespace {
-
-void PrintUsage(std::FILE* out) {
-  std::fputs(
-      "usage: dievent_fsck [--repair] [--fleet] <store-dir|fleet-root>\n"
-      "  Verifies a durable event store: snapshot section checksums,\n"
-      "  journal frame CRCs, record decode, and sequence continuity.\n"
-      "  With --repair, additionally removes stray checkpoint temps,\n"
-      "  truncates torn journal tails, quarantines unreachable segments\n"
-      "  and corrupt snapshots, and re-verifies by reopening the store.\n"
-      "  With --fleet, the argument is a scheduler fleet root: every\n"
-      "  subdirectory is scanned as one tenant's store, and the exit\n"
-      "  code is non-zero iff any store is damaged.\n",
-      out);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bool repair = false;
   bool fleet = false;
   std::string dir;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--repair") == 0) {
-      repair = true;
-    } else if (std::strcmp(argv[i], "--fleet") == 0) {
-      fleet = true;
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
-      PrintUsage(stdout);
-      return 0;
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "dievent_fsck: unknown option '%s'\n", argv[i]);
-      PrintUsage(stderr);
-      return 2;
-    } else if (!dir.empty()) {
-      std::fprintf(stderr, "dievent_fsck: more than one directory given\n");
-      PrintUsage(stderr);
-      return 2;
-    } else {
-      dir = argv[i];
-    }
-  }
-  if (dir.empty()) {
-    PrintUsage(stderr);
-    return 2;
-  }
+  dievent::FlagParser flags(
+      "dievent_fsck",
+      "Verifies a durable event store (snapshot and journal checksums,\n"
+      "record decode, sequence continuity) without touching the disk.");
+  flags.Bool("repair", &repair,
+             "also remove stray checkpoint temps, truncate torn journal\n"
+             "tails, quarantine unreachable segments and corrupt\n"
+             "snapshots, then re-verify by reopening the store");
+  flags.Bool("fleet", &fleet,
+             "<fleet-root> holds one tenant store per subdirectory: scan\n"
+             "them all; the exit code is non-zero iff any is damaged");
+  flags.Positional("store-dir|fleet-root", &dir);
+  flags.ParseOrExit(argc, argv);
 
   dievent::FsckOptions options;
   options.repair = repair;
   if (fleet) {
     auto result = dievent::RunFleetFsck(dievent::FileSystem::Default(),
                                         dir, options);
-    if (!result.ok()) {
-      std::fprintf(stderr, "dievent_fsck: %s\n",
-                   result.status().ToString().c_str());
-      return 2;
-    }
+    if (!result.ok()) return flags.Error(result.status());
     const dievent::FleetFsckReport& report = result.value();
     std::fputs(report.ToString().c_str(), stdout);
     return report.clean() ? 0 : 1;
   }
   auto result =
       dievent::RunFsck(dievent::FileSystem::Default(), dir, options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "dievent_fsck: %s\n",
-                 result.status().ToString().c_str());
-    return 2;
-  }
+  if (!result.ok()) return flags.Error(result.status());
   const dievent::FsckReport& report = result.value();
   std::fputs(report.ToString().c_str(), stdout);
   if (repair) return report.verified ? 0 : 1;

@@ -1,66 +1,29 @@
 /// \file dievent_query.cc
-/// Run a cross-event query against a sharded event corpus from the
-/// command line.
+/// Runs a cross-event query against a sharded event corpus:
 ///
-/// Usage:
-///   dievent_query [options] <corpus-dir> <query...>
-///   dievent_query --list <corpus-dir>
-///
-/// The query uses the corpus grammar from metadata/query_parser.h:
-///
-///   dievent_query corpus/ 'events'
-///   dievent_query corpus/ 'events where venue = "sala roja"'
 ///   dievent_query corpus/ 'events where occasion = "birthday" : ec(P1,P2)'
 ///   dievent_query --scenes corpus/ 'events : oh >= 0.5'
-///
-/// Remaining arguments after the corpus directory are joined with
-/// spaces, so the query may be given unquoted. Output is one header
-/// line per in-scope event (match counts), the first frame matches per
-/// event, and a footer with shard-pruning statistics.
+///   dievent_query --list corpus/
 ///
 /// Exit codes:
 ///   0  query ran and matched at least one frame (or --list succeeded)
 ///   1  query ran but nothing matched
-///   2  usage error, unparsable query, or a damaged corpus
+///   2  usage error, missing corpus directory, unparsable query, or a
+///      damaged corpus
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/flags.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
+#include "io/file.h"
 #include "metadata/corpus.h"
 #include "metadata/query_parser.h"
 
 namespace {
-
-void PrintUsage(std::FILE* out) {
-  std::fputs(
-      "usage: dievent_query [options] <corpus-dir> <query...>\n"
-      "  Evaluates a cross-event query over a sharded event corpus.\n"
-      "  Query grammar: events [where <scope>] [: <frame terms>]\n"
-      "    scope:  event/venue/occasion/date = \"...\", participants >= N\n"
-      "    frame:  ec(P1,P2), look(P1,P2), watched(P1), feel(P1,happy),\n"
-      "            time[a,b), oh >= x, valence >= x; joined with '&'\n"
-      "options:\n"
-      "  --list             list sealed shards and exit (no query)\n"
-      "  --scenes           also roll matches up into scenes\n"
-      "  --min-coverage F   scene coverage threshold (default 0.5)\n"
-      "  --threads N        evaluate shards on N threads (default: serial)\n"
-      "  --max-frames N     frame matches printed per event (default 5)\n",
-      out);
-}
-
-bool ParsePositiveInt(const char* text, int* out) {
-  char* end = nullptr;
-  long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value <= 0 || value > 1 << 20) {
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
 
 int ListShards(const dievent::EventCorpus& corpus) {
   const auto shards = corpus.shards();
@@ -93,62 +56,38 @@ int main(int argc, char** argv) {
   int threads = 0;
   int max_frames = 5;
   std::string dir;
-  std::string query_text;
-  for (int i = 1; i < argc; ++i) {
-    if (dir.empty() && std::strcmp(argv[i], "--list") == 0) {
-      list = true;
-    } else if (dir.empty() && std::strcmp(argv[i], "--scenes") == 0) {
-      query_options.scenes = true;
-    } else if (dir.empty() && std::strcmp(argv[i], "--min-coverage") == 0 &&
-               i + 1 < argc) {
-      char* end = nullptr;
-      query_options.min_coverage = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "dievent_query: bad coverage '%s'\n", argv[i]);
-        return 2;
-      }
-    } else if (dir.empty() && std::strcmp(argv[i], "--threads") == 0 &&
-               i + 1 < argc) {
-      if (!ParsePositiveInt(argv[++i], &threads)) {
-        std::fprintf(stderr, "dievent_query: bad thread count '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-    } else if (dir.empty() && std::strcmp(argv[i], "--max-frames") == 0 &&
-               i + 1 < argc) {
-      if (!ParsePositiveInt(argv[++i], &max_frames)) {
-        std::fprintf(stderr, "dievent_query: bad frame count '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-    } else if (dir.empty() && (std::strcmp(argv[i], "--help") == 0 ||
-                               std::strcmp(argv[i], "-h") == 0)) {
-      PrintUsage(stdout);
-      return 0;
-    } else if (dir.empty() && argv[i][0] == '-') {
-      std::fprintf(stderr, "dievent_query: unknown option '%s'\n", argv[i]);
-      PrintUsage(stderr);
-      return 2;
-    } else if (dir.empty()) {
-      dir = argv[i];
-    } else {
-      if (!query_text.empty()) query_text += ' ';
-      query_text += argv[i];
-    }
-  }
-  if (dir.empty() || (query_text.empty() && !list)) {
-    PrintUsage(stderr);
-    return 2;
+  std::vector<std::string> words;
+
+  dievent::FlagParser flags(
+      "dievent_query",
+      "Evaluates the query (the words after <corpus-dir>) over a corpus.\n"
+      "Query grammar: events [where <scope>] [: <frame terms>]\n"
+      "  scope:  event/venue/occasion/date = \"...\", participants >= N\n"
+      "  frame:  ec(P1,P2), look(P1,P2), watched(P1), feel(P1,happy),\n"
+      "          time[a,b), oh >= x, valence >= x; joined with '&'");
+  flags.Bool("list", &list, "list sealed shards and exit (no query)");
+  flags.Bool("scenes", &query_options.scenes,
+             "also roll matches up into scenes");
+  flags.Double("min-coverage", &query_options.min_coverage, 0, 1,
+               "scene coverage threshold (default 0.5)");
+  flags.Int("threads", &threads, 1, 256,
+            "evaluate shards on N threads\n(default: serial)");
+  flags.Int("max-frames", &max_frames, 1, 1 << 20,
+            "frame matches printed per event\n(default 5)");
+  flags.Positional("corpus-dir", &dir);
+  flags.Rest("query", &words);
+  flags.ParseOrExit(argc, argv);
+  const std::string query_text = dievent::Join(words, " ");
+  if (query_text.empty() && !list) flags.Fail("missing <query>");
+  // EventCorpus::Open creates a missing directory; a query never should.
+  if (!dievent::FileSystem::Default()->Exists(dir)) {
+    return flags.Error(dievent::Status::NotFound("no corpus directory " + dir));
   }
 
   auto parsed = list ? dievent::Result<dievent::CorpusQuerySpec>(
                            dievent::CorpusQuerySpec{})
                      : dievent::ParseCorpusQuery(query_text);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "dievent_query: %s\n",
-                 parsed.status().ToString().c_str());
-    return 2;
-  }
+  if (!parsed.ok()) return flags.Error(parsed.status());
 
   std::unique_ptr<dievent::ThreadPool> pool;
   dievent::CorpusOptions corpus_options;
@@ -157,19 +96,11 @@ int main(int argc, char** argv) {
     corpus_options.pool = pool.get();
   }
   auto corpus = dievent::EventCorpus::Open(dir, corpus_options);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "dievent_query: %s\n",
-                 corpus.status().ToString().c_str());
-    return 2;
-  }
+  if (!corpus.ok()) return flags.Error(corpus.status());
   if (list) return ListShards(*corpus.value());
 
   auto result = corpus.value()->Query(parsed.value(), query_options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "dievent_query: %s\n",
-                 result.status().ToString().c_str());
-    return 2;
-  }
+  if (!result.ok()) return flags.Error(result.status());
   const dievent::CorpusQueryResult& out = result.value();
   std::printf("query: %s\n",
               dievent::FormatCorpusQuery(parsed.value()).c_str());

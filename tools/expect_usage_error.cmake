@@ -1,19 +1,18 @@
-# Runs `CLI FLAG VALUE <this directory>` and passes only when the CLI
-# rejects the value as a usage error: exit code 2 and
-# "bad value for FLAG" on its output.
+# Runs CLI with the '|'-separated ARGS and passes only when the CLI
+# rejects them as a usage error: exit code 2 and EXPECT on its output.
 #
-#   cmake -DCLI=<binary> -DFLAG=<flag> -DVALUE=<value> \
+#   cmake -DCLI=<binary> "-DARGS=<arg>|<arg>..." "-DEXPECT=<message>" \
 #     -P expect_usage_error.cmake
 
+string(REPLACE "|" ";" args "${ARGS}")
 execute_process(
-  COMMAND "${CLI}" "${FLAG}" "${VALUE}" "${CMAKE_CURRENT_LIST_DIR}"
+  COMMAND "${CLI}" ${args}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
-set(expected "bad value for ${FLAG}")
-string(FIND "${out}${err}" "${expected}" found)
+string(FIND "${out}${err}" "${EXPECT}" found)
 if(NOT rc EQUAL 2 OR found EQUAL -1)
   message(FATAL_ERROR
-    "${FLAG} ${VALUE}: want exit 2 and '${expected}', got exit ${rc}:\n"
+    "${ARGS}: want exit 2 and '${EXPECT}', got exit ${rc}:\n"
     "${out}${err}")
 endif()
