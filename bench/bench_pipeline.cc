@@ -17,7 +17,9 @@
 #include "core/pipeline.h"
 #include "metadata/repository.h"
 #include "ml/face_recognizer.h"
+#include "common/rng.h"
 #include "perf_smoke.h"
+#include "render/scene_renderer.h"
 #include "sim/scenario.h"
 #include "video/shot_detection.h"
 #include "vision/face_analyzer.h"
@@ -60,6 +62,31 @@ void BM_Stage2_FrameSignature(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Stage2_FrameSignature)->Unit(benchmark::kMillisecond);
+
+/// The parse signature (soft 8^3 histogram) over 40 meeting views: ten
+/// instants of all four cameras, noise-free or with sigma = 6 sensor
+/// noise. Flat rendered rows take the run-merging path; noisy rows take
+/// the per-pixel loop.
+void BM_Signature(benchmark::State& state, double noise_sigma) {
+  std::vector<ImageRgb> views;
+  RenderOptions opt;
+  opt.noise_sigma = noise_sigma;
+  Rng rng(7);
+  for (int i = 0; i < 10; ++i) {
+    for (int c = 0; c < 4; ++c) {
+      views.push_back(RenderViewAt(Scene(), 2.0 * i, c, opt, &rng));
+    }
+  }
+  ShotBoundaryDetector det;
+  for (auto _ : state) {
+    for (const ImageRgb& view : views) {
+      benchmark::DoNotOptimize(det.Signature(view));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * views.size());
+}
+BENCHMARK_CAPTURE(BM_Signature, clean, 0.0)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Signature, noisy, 6.0)->Unit(benchmark::kMillisecond);
 
 void BM_Stage3_FaceAnalysis(benchmark::State& state) {
   FaceAnalyzer analyzer;
@@ -171,8 +198,12 @@ BENCHMARK(BM_FullVisionThreads)
     ->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-PipelineOptions ExecutorOptions(bool pipelined) {
+PipelineOptions ExecutorOptions(bool pipelined, bool noisy = false) {
   PipelineOptions opt;
+  if (noisy) {
+    opt.render.noise_sigma = 6.0;
+    opt.noise_seed = 7;
+  }
   opt.mode = PipelineMode::kFullVision;
   opt.frame_stride = 10;  // 61 frames
   opt.analyze_emotions = false;
@@ -212,15 +243,17 @@ BENCHMARK(BM_PipelineEndToEnd)
 // --- perf smoke ----------------------------------------------------------
 // `bench_pipeline --perf_smoke=PATH` runs both executors once (best of
 // two), writes PATH as JSON (fps, speedup, the sequential run's
-// parse-signature cost, per-stage occupancy, core count), and exits
+// parse-signature cost on clean and on sigma = 6 frames, per-stage
+// occupancy, core count), and exits
 // nonzero when the pipelined executor falls below the hardware-aware
 // throughput floor or the parse signature takes more than
 // kSignatureShareCeiling of the sequential run's wall time. Wired up as
 // the `perf-smoke` CMake target for CI.
 
-/// Release build, 4-vCPU host: the fixed-point signature kernel takes 0.28
-/// of a sequential full-vision frame's wall time; the double-precision loop
-/// it replaced took 0.75.
+/// Release build, 4-vCPU host: the signature takes 0.13-0.16 of a
+/// sequential full-vision frame's wall time with run merging and the row
+/// fills, 0.25-0.28 with the per-pixel renderer and kernel, and 0.75 with
+/// the double-precision loop the fixed-point kernel replaced.
 constexpr double kSignatureShareCeiling = 0.35;
 
 struct SmokeRun {
@@ -230,13 +263,13 @@ struct SmokeRun {
   StageTimings timings;
 };
 
-SmokeRun MeasureExecutor(bool pipelined) {
+SmokeRun MeasureExecutor(bool pipelined, bool noisy = false) {
   SmokeRun best;
   for (int attempt = 0; attempt < 2; ++attempt) {
     MetadataRepository repo;
     auto start = std::chrono::steady_clock::now();  // lint: allow(steady-clock): measures real wall time
-    auto report =
-        DiEventPipeline(&Scene(), ExecutorOptions(pipelined)).Run(&repo);
+    auto report = DiEventPipeline(&Scene(), ExecutorOptions(pipelined, noisy))
+                      .Run(&repo);
     double wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start)  // lint: allow(steady-clock): measures real wall time
                       .count();
@@ -258,11 +291,15 @@ SmokeRun MeasureExecutor(bool pipelined) {
 int RunPerfSmoke(const std::string& path) {
   const SmokeRun seq = MeasureExecutor(false);
   const SmokeRun pipe = MeasureExecutor(true);
+  // The same sequential run on sigma = 6 frames, where no row is flat:
+  // recorded next to the clean cost, not gated (a real camera's frames
+  // look like these, so a clean-only speed-up shows here as none).
+  const SmokeRun noisy = MeasureExecutor(false, /*noisy=*/true);
   const double speedup = pipe.fps / seq.fps;
   const unsigned cores = std::thread::hardware_concurrency();
   // The pipelined executor can only trade latency for throughput when
   // there are cores to overlap on. On a multi-core host it must not be
-  // slower than the sequential reference (1.4-1.9x measured on 4 cores,
+  // slower than the sequential reference (1.8-2.2x measured on 4 cores,
   // where the cheap signature leaves less parallel work than before); on
   // a single core we only guard against pathological scheduling overhead.
   const double floor = cores >= 2 ? 1.0 : 0.8;
@@ -270,6 +307,8 @@ int RunPerfSmoke(const std::string& path) {
   // share of its wall time (the inline executor bills it to `parsing`).
   const double signature_ms = seq.timings.parsing / seq.frames * 1e3;
   const double signature_share = seq.timings.parsing / seq.wall_s;
+  const double noisy_signature_ms =
+      noisy.timings.parsing / noisy.frames * 1e3;
   const bool pass =
       speedup >= floor && signature_share <= kSignatureShareCeiling;
 
@@ -287,6 +326,7 @@ int RunPerfSmoke(const std::string& path) {
       .Add("throughput_floor", floor)
       .Add("sequential_signature_ms_per_frame", signature_ms)
       .Add("sequential_signature_share", signature_share)
+      .Add("sequential_noisy_signature_ms_per_frame", noisy_signature_ms)
       .Add("signature_share_ceiling", kSignatureShareCeiling)
       .Add("pass", pass)
       .Begin("pipelined_stage_occupancy")
@@ -297,7 +337,7 @@ int RunPerfSmoke(const std::string& path) {
       .Add("storage", occupancy(pipe.timings.storage))
       .End()
       .Add("note",
-           "floor is 1.0x on multi-core hosts (1.4-1.9x measured on 4 "
+           "floor is 1.0x on multi-core hosts (1.8-2.2x measured on 4 "
            "cores), 0.8x on a single core where overlap cannot help "
            "CPU-bound stages; the sequential signature share must stay at "
            "or below its ceiling");
@@ -305,9 +345,10 @@ int RunPerfSmoke(const std::string& path) {
   std::printf(
       "perf_smoke: seq %.2f fps, pipelined %.2f fps (%.2fx, floor %.1fx "
       "on %u cores); seq signature %.2f ms/frame = %.2f of wall (ceiling "
-      "%.2f) -> %s\n",
+      "%.2f), %.2f ms/frame at sigma 6 -> %s\n",
       seq.fps, pipe.fps, speedup, floor, cores, signature_ms,
-      signature_share, kSignatureShareCeiling, pass ? "PASS" : "FAIL");
+      signature_share, kSignatureShareCeiling, noisy_signature_ms,
+      pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }
 

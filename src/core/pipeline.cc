@@ -154,9 +154,9 @@ std::string DiEventReport::Summary() const {
 namespace {
 
 /// One frame in flight through the executor. Acquisition fills it on the
-/// calling thread; the frame's tasks (per-camera vision, parse
-/// signature) each write only their own slots, inline or on pool
-/// workers; the ordered commit consumes it.
+/// calling thread; its camera tasks (vision, plus the parse signature on
+/// the parse-reference camera) each write only their own slots, inline
+/// or on pool workers; the ordered commit consumes it.
 struct FrameWork {
   int f = 0;
   double t = 0;
@@ -164,7 +164,7 @@ struct FrameWork {
   SynchronizedFrameSet set;          ///< the kFullVision camera read
   bool analyzable = true;            ///< the read reached the quorum
   /// Decoded images per camera slot (kGroundTruth: the camera-0 parse
-  /// frame only).
+  /// frame only). A pooled camera task empties its slot when it is done.
   std::vector<ImageRgb> frames;
   std::vector<CameraFrameQuality> quality;
   std::vector<CameraVision> vision;
@@ -272,17 +272,12 @@ class PipelineRun {
 
   /// The executor: runs every remaining frame through Commit, in order.
   Status Loop() {
-    // Ground truth has no vision tasks worth a pool or a read-ahead, so it
-    // ignores num_threads and prefetch_depth: fleet tenants never spawn
-    // threads.
-    const int workers = full_ ? std::max(1, options_.num_threads) : 1;
-    const int window =
-        workers > 1 ? std::max({2, workers, options_.prefetch_depth}) : 1;
+    const ReadAhead plan = PlanReadAhead(options_);
     const int stride = options_.frame_stride;
     const int num_frames = scene_.num_frames();
-    if (full_ && options_.prefetch_depth > 0 && start_frame_ < num_frames) {
-      DIEVENT_RETURN_NOT_OK(multi_->StartPrefetch(start_frame_, stride,
-                                                  options_.prefetch_depth));
+    if (plan.pump_depth > 0 && start_frame_ < num_frames) {
+      DIEVENT_RETURN_NOT_OK(
+          multi_->StartPrefetch(start_frame_, stride, plan.pump_depth));
     }
 
     // A window of frames is in flight at once: the acquisition pump
@@ -294,7 +289,7 @@ class PipelineRun {
     Status status;
     std::deque<std::unique_ptr<FrameWork>> inflight;
     std::optional<ThreadPool> pool;
-    if (workers > 1) pool.emplace(workers);
+    if (plan.workers > 1) pool.emplace(plan.workers);
     int next_f = start_frame_;
     while (!inflight.empty() || next_f < num_frames) {
       // Cooperative cancellation, polled before each frame is retired, so
@@ -307,7 +302,7 @@ class PipelineRun {
             inflight.empty() ? next_f : inflight.front()->f));
         break;
       }
-      while (static_cast<int>(inflight.size()) < window &&
+      while (static_cast<int>(inflight.size()) < plan.window &&
              next_f < num_frames) {
         auto w = std::make_unique<FrameWork>();
         w->f = next_f;
@@ -648,52 +643,60 @@ class PipelineRun {
     w.emotion_seconds.assign(num_cameras_, 0.0);
   }
 
-  /// Runs the frame's tasks inline (no pool) or fans them out on `pool`,
-  /// speculating emotion predictions there so the commit finds them ready.
+  /// Runs the frame's camera tasks inline (no pool) or fans them out on
+  /// `pool`, one task per usable camera slot. kGroundTruth has no camera
+  /// tasks: it signs its parse frame inline.
   void Launch(FrameWork& w, ThreadPool* pool) {
     if (!w.analyzable) return;
+    if (!full_) {
+      if (w.parse_ref >= 0) Sign(w);
+      return;
+    }
     if (pool != nullptr) w.group = std::make_unique<TaskGroup>(pool);
-    auto run = [&w](auto task) {
+    FrameWork* wp = &w;
+    const bool speculate = pool != nullptr;
+    for (int c = 0; c < static_cast<int>(w.vision.size()); ++c) {
+      if (w.quality[c] == CameraFrameQuality::kAbsent) continue;
+      auto task = [this, wp, c, speculate] { RunCamera(*wp, c, speculate); };
       if (w.group != nullptr) {
         w.group->Submit(std::move(task));
       } else {
         task();
       }
-    };
-    FrameWork* wp = &w;
-    const bool speculate = pool != nullptr;
-    for (int c = 0; c < static_cast<int>(w.vision.size()); ++c) {
-      if (w.quality[c] == CameraFrameQuality::kAbsent) continue;
-      run([this, wp, c, speculate] { RunVision(*wp, c, speculate); });
     }
-    if (w.parse_ref >= 0) run([this, wp] { RunSignature(*wp); });
   }
 
-  /// Stateless per-camera stage: detection + landmarks + gaze + appearance
-  /// identity, plus (when speculating) emotion predictions. Candidates are
-  /// every frontal observation with radius >= 8 px — a superset of what
-  /// the commit can select, since the tracker backfill there only changes
-  /// identities, never geometry.
-  void RunVision(FrameWork& w, int c, bool speculate) {
+  /// One camera slot's task: the stateless stage (detection + landmarks +
+  /// gaze + appearance identity), the parse signature when this slot is
+  /// the parse reference, and, when speculating, emotion predictions.
+  /// Candidates are every frontal observation with radius >= 8 px — a
+  /// superset of what the commit can select, since the tracker backfill
+  /// there only changes identities, never geometry. So a speculating task
+  /// leaves the commit nothing to read from the image and releases it
+  /// here; the read-ahead then holds decoded images only until their
+  /// camera's task is done, not until the commit.
+  void RunCamera(FrameWork& w, int c, bool speculate) {
     {
       StageTimer timer(clock_, &w.vision_seconds[c]);
       w.vision[c] =
           engine_->AnalyzeCameraStateless(c, w.frames[c], w.quality[c]);
     }
-    if (!speculate || !options_.analyze_emotions || recognizer_ == nullptr) {
-      return;
+    if (c == w.parse_ref) Sign(w);
+    if (!speculate) return;
+    if (options_.analyze_emotions && recognizer_ != nullptr) {
+      StageTimer timer(clock_, &w.emotion_seconds[c]);
+      auto& cache = w.emotion_cache[c];
+      cache.assign(w.vision[c].obs.size(), std::nullopt);
+      for (size_t oi = 0; oi < w.vision[c].obs.size(); ++oi) {
+        const FaceDetection& det = w.vision[c].obs[oi].detection;
+        if (!det.front_facing || det.radius_px < 8.0) continue;
+        cache[oi] = PredictEmotion(*recognizer_, w.frames[c], det);
+      }
     }
-    StageTimer timer(clock_, &w.emotion_seconds[c]);
-    auto& cache = w.emotion_cache[c];
-    cache.assign(w.vision[c].obs.size(), std::nullopt);
-    for (size_t oi = 0; oi < w.vision[c].obs.size(); ++oi) {
-      const FaceDetection& det = w.vision[c].obs[oi].detection;
-      if (!det.front_facing || det.radius_px < 8.0) continue;
-      cache[oi] = PredictEmotion(*recognizer_, w.frames[c], det);
-    }
+    w.frames[c] = ImageRgb();
   }
 
-  void RunSignature(FrameWork& w) {
+  void Sign(FrameWork& w) {
     StageTimer timer(clock_, &w.signature_seconds);
     w.signature = signature_maker_.Signature(w.frames[w.parse_ref]);
   }
@@ -816,6 +819,11 @@ class PipelineRun {
               w.emotion_cache[best_cam][best_idx].has_value()) {
             p = *w.emotion_cache[best_cam][best_idx];
           } else {
+            // Only the inline path gets here: speculation predicted every
+            // candidate and released the image.
+            DIEVENT_CHECK(!w.frames[best_cam].empty())
+                << "frame " << w.f << " camera " << best_cam
+                << ": emotion candidate missed by speculation";
             p = PredictEmotion(*recognizer_, w.frames[best_cam],
                                best->detection);
           }
@@ -969,6 +977,19 @@ class PipelineRun {
 };
 
 }  // namespace
+
+ReadAhead PlanReadAhead(const PipelineOptions& options) {
+  ReadAhead plan;
+  if (options.mode != PipelineMode::kFullVision) return plan;
+  plan.workers = std::max(1, options.num_threads);
+  if (plan.workers > 1) {
+    plan.window = std::max({2, plan.workers, options.prefetch_depth});
+  }
+  if (options.prefetch_depth > 0) {
+    plan.pump_depth = std::max(1, options.prefetch_depth - plan.window);
+  }
+  return plan;
+}
 
 DiEventPipeline::DiEventPipeline(const DiningScene* scene,
                                  PipelineOptions options)

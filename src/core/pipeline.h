@@ -91,16 +91,18 @@ struct PipelineOptions {
 
   /// Worker threads for the stateless vision stage (kFullVision only).
   /// Every run goes through one windowed executor: frames are acquired
-  /// in order, each frame's per-camera detection/landmarks/gaze/identity
-  /// tasks and its parse-signature task run, and an ordered commit stage
-  /// applies tracking, fusion, accuracy, and repository writes in frame
-  /// order. 1 = a window of one frame whose tasks run inline on the
-  /// calling thread (no pool, no speculative emotion predictions) — the
-  /// sequential reference. > 1 = a pool of this many workers and a
-  /// window of max(2, num_threads, prefetch_depth) frames in flight, with
-  /// emotion predictions speculated on the workers. Results are
-  /// bit-identical at every setting for equal seeds. kGroundTruth ignores
-  /// this and prefetch_depth: it always runs the one-frame window inline.
+  /// in order, one task per camera slot runs detection/landmarks/gaze/
+  /// identity (the parse-reference camera's task also computes the parse
+  /// signature), and an ordered commit stage applies tracking, fusion,
+  /// accuracy, and repository writes in frame order. 1 = a window of one
+  /// frame whose tasks run inline on the calling thread (no pool, no
+  /// speculative emotion predictions) — the sequential reference.
+  /// > 1 = a pool of this many workers and a window of
+  /// max(2, num_threads, prefetch_depth) frames in flight, with emotion
+  /// predictions speculated on the workers; a worker releases each camera
+  /// image once its task is done. Results are bit-identical at every
+  /// setting for equal seeds. kGroundTruth ignores this and
+  /// prefetch_depth: it always runs the one-frame window inline.
   int num_threads = 1;
 
   /// Time source for every stage timer, acquisition deadline, watchdog,
@@ -109,12 +111,14 @@ struct PipelineOptions {
   /// whole acquisition state machine runs on simulated time.
   VirtualClock* clock = nullptr;
 
-  /// Frame sets the acquisition pump may read ahead of the commit stage
-  /// (kFullVision only). 0 = synchronous reads. > 0 starts a prefetch
-  /// pump inside MultiCameraSource that runs the identical admission/
-  /// read/fold sequence ahead of the consumer, bounded by this depth, so
-  /// decode + retries + deadline waits overlap analysis. Independent of
-  /// num_threads: the pump runs at any worker count.
+  /// Frame sets the run may read ahead of the commit stage (kFullVision
+  /// only). 0 = synchronous reads. > 0 starts a prefetch pump inside
+  /// MultiCameraSource that runs the identical admission/read/fold
+  /// sequence ahead of the consumer, so decode + retries + deadline waits
+  /// overlap analysis. The executor's window already holds frames read
+  /// ahead, so the pump queues only max(1, prefetch_depth - window) sets
+  /// (PlanReadAhead). Independent of num_threads: the pump runs at any
+  /// worker count.
   int prefetch_depth = 0;
 
   /// Durable persistence (optional; not owned, must outlive the run).
@@ -150,6 +154,28 @@ struct PipelineOptions {
 
   uint64_t seed = 42;  ///< master seed for training/augmentation
 };
+
+/// How far a run reads ahead of its ordered commit. DiEventPipeline::Run
+/// sizes its executor from PlanReadAhead.
+struct ReadAhead {
+  int workers = 1;     ///< pool workers; 1 = the frame's tasks run inline
+  int window = 1;      ///< frames in flight between acquisition and commit
+  int pump_depth = 0;  ///< sets the prefetch pump queues; 0 = no pump
+
+  /// Bound on camera sets read but not yet committed: the window plus,
+  /// with a pump, its queue, one folded set waiting for room and the set
+  /// being read (MultiCameraSource::StartPrefetch).
+  int MaxSetsAhead() const {
+    return window + (pump_depth > 0 ? pump_depth + 2 : 0);
+  }
+};
+
+/// kFullVision: max(1, num_threads) workers; a window of one frame when
+/// inline, else max(2, num_threads, prefetch_depth); and, when
+/// prefetch_depth > 0, a pump of max(1, prefetch_depth - window) sets.
+/// kGroundTruth has no vision tasks worth a pool or a read-ahead: one
+/// inline frame and no pump, so fleet tenants never spawn threads.
+ReadAhead PlanReadAhead(const PipelineOptions& options);
 
 /// Time spent in each pipeline stage, seconds, read from the run's
 /// clock. Work done on pool workers is summed across threads.

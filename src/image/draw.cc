@@ -1,18 +1,47 @@
 #include "image/draw.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstring>
 
 namespace dievent {
 
+namespace {
+
+/// Address of pixel (x, y) in a 3-channel image; the caller has clipped.
+uint8_t* PixelAddress(ImageRgb* img, int x, int y) {
+  return img->data().data() +
+         (static_cast<size_t>(y) * img->width() + x) * 3;
+}
+
+/// Writes `color` to the already clipped pixels [xa, xb) of row y.
+void FillSpan(ImageRgb* img, int y, int xa, int xb, const Rgb& color) {
+  uint8_t* p = PixelAddress(img, xa, y);
+  for (int x = xa; x < xb; ++x, p += 3) {
+    p[0] = color.r;
+    p[1] = color.g;
+    p[2] = color.b;
+  }
+}
+
+}  // namespace
+
 void FillRect(ImageRgb* img, int x0, int y0, int w, int h,
               const Rgb& color) {
-  int xa = std::max(0, x0);
-  int ya = std::max(0, y0);
-  int xb = std::min(img->width(), x0 + w);
-  int yb = std::min(img->height(), y0 + h);
-  for (int y = ya; y < yb; ++y)
-    for (int x = xa; x < xb; ++x) PutRgb(img, x, y, color);
+  assert(img->channels() == 3);
+  const int xa = std::max(0, x0);
+  const int ya = std::max(0, y0);
+  const int xb = std::min(img->width(), x0 + w);
+  const int yb = std::min(img->height(), y0 + h);
+  if (xa >= xb || ya >= yb) return;
+  // One row pixel by pixel, then every other row as a copy of it.
+  FillSpan(img, ya, xa, xb, color);
+  const uint8_t* first = PixelAddress(img, xa, ya);
+  const size_t bytes = static_cast<size_t>(xb - xa) * 3;
+  for (int y = ya + 1; y < yb; ++y) {
+    std::memcpy(PixelAddress(img, xa, y), first, bytes);
+  }
 }
 
 void FillCircle(ImageRgb* img, double cx, double cy, double r,
@@ -85,6 +114,7 @@ void DrawArrow(ImageRgb* img, Vec2 a, Vec2 b, const Rgb& color,
 
 void FillConvexPolygon(ImageRgb* img, const std::vector<Vec2>& pts,
                        const Rgb& color) {
+  assert(img->channels() == 3);
   if (pts.size() < 3) return;
   double ymin = pts[0].y, ymax = pts[0].y;
   for (const Vec2& p : pts) {
@@ -113,7 +143,7 @@ void FillConvexPolygon(ImageRgb* img, const std::vector<Vec2>& pts,
     if (xmin > xmax) continue;
     int xa = std::max(0, static_cast<int>(std::ceil(xmin)));
     int xb = std::min(img->width() - 1, static_cast<int>(std::floor(xmax)));
-    for (int x = xa; x <= xb; ++x) PutRgb(img, x, y, color);
+    if (xa <= xb) FillSpan(img, y, xa, xb + 1, color);
   }
 }
 

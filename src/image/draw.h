@@ -13,6 +13,8 @@
 namespace dievent {
 
 /// Fills the axis-aligned rectangle [x0, x0+w) x [y0, y0+h), clipped.
+/// Writes the first row and copies it to the others, so a whole-image
+/// fill (the renderers' backgrounds) costs one row plus memcpy.
 void FillRect(ImageRgb* img, int x0, int y0, int w, int h, const Rgb& color);
 
 /// Fills a disc of radius r centred at (cx, cy), clipped.
@@ -35,7 +37,8 @@ void DrawLine(ImageRgb* img, Vec2 a, Vec2 b, const Rgb& color,
 void DrawArrow(ImageRgb* img, Vec2 a, Vec2 b, const Rgb& color,
                double thickness = 1.0, double head_len = 8.0);
 
-/// Scanline-fills a convex polygon given by its vertices in order.
+/// Scanline-fills a convex polygon given by its vertices in order. Each
+/// scanline's span is clipped once and written through a row pointer.
 void FillConvexPolygon(ImageRgb* img, const std::vector<Vec2>& pts,
                        const Rgb& color);
 

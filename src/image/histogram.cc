@@ -53,6 +53,23 @@ std::array<SoftSplit, 256> SoftSplitTable(int n, uint32_t stride) {
   return lut;
 }
 
+/// The soft kernel's row probe: true when at least kProbeRepeats of the
+/// row's first kProbePixels pixels equal their left neighbour. Rendered
+/// background and table rows pass; a noisy sensor row fails within 16
+/// pixels and keeps the per-pixel loop.
+constexpr int kProbePixels = 16;
+constexpr int kProbeRepeats = 8;
+
+bool HasRepeats(const uint8_t* row, int width) {
+  const int probe = std::min(width, kProbePixels);
+  int repeats = 0;
+  for (int x = 1; x < probe; ++x) {
+    const uint8_t* px = row + 3 * x;
+    repeats += px[0] == px[-3] && px[1] == px[-2] && px[2] == px[-1];
+  }
+  return repeats >= kProbeRepeats;
+}
+
 }  // namespace
 
 bool IsValidBinCount(int bins) {
@@ -93,15 +110,35 @@ Histogram ComputeColorHistogram(const ImageRgb& rgb, int bins_per_channel,
     const std::array<SoftSplit, 256> r_lut = SoftSplitTable(n, nn * 256);
     const std::array<SoftSplit, 256> g_lut = SoftSplitTable(n, 256);
     std::vector<uint64_t> rg_by_blue(static_cast<size_t>(n) * n * 256, 0);
-    for (; p != end; p += 3) {
-      const SoftSplit& r = r_lut[p[0]];
-      const SoftSplit& g = g_lut[p[1]];
-      uint64_t* const blue = rg_by_blue.data() + p[2];
-      // Weight products stay below q^2 <= 2^18.
-      blue[r.lo + g.lo] += r.w_lo * g.w_lo;
-      blue[r.lo + g.hi] += r.w_lo * g.w_hi;
-      blue[r.hi + g.lo] += r.w_hi * g.w_lo;
-      blue[r.hi + g.hi] += r.w_hi * g.w_hi;
+    // Adds `count` copies of pixel `px`. Weight products stay below
+    // q^2 <= 2^18, so count times one stays far inside 64 bits and equals
+    // the sum of `count` single updates.
+    auto add = [&](const uint8_t* px, uint64_t count) {
+      const SoftSplit& r = r_lut[px[0]];
+      const SoftSplit& g = g_lut[px[1]];
+      uint64_t* const blue = rg_by_blue.data() + px[2];
+      blue[r.lo + g.lo] += r.w_lo * g.w_lo * count;
+      blue[r.lo + g.hi] += r.w_lo * g.w_hi * count;
+      blue[r.hi + g.lo] += r.w_hi * g.w_lo * count;
+      blue[r.hi + g.hi] += r.w_hi * g.w_hi * count;
+    };
+    const size_t row_bytes = static_cast<size_t>(rgb.width()) * 3;
+    for (int y = 0; y < rgb.height(); ++y) {
+      const uint8_t* const row_end = p + row_bytes;
+      if (HasRepeats(p, rgb.width())) {
+        // Flat row: each run of identical pixels is one update.
+        while (p != row_end) {
+          const uint8_t* run = p + 3;
+          while (run != row_end && run[0] == p[0] && run[1] == p[1] &&
+                 run[2] == p[2]) {
+            run += 3;
+          }
+          add(p, static_cast<uint64_t>(run - p) / 3);
+          p = run;
+        }
+      } else {
+        for (; p != row_end; p += 3) add(p, 1);
+      }
     }
     const std::array<SoftSplit, 256> b_lut = SoftSplitTable(n, 1);
     for (size_t rg = 0; rg < static_cast<size_t>(n) * n; ++rg) {

@@ -45,6 +45,12 @@ Status ValidateBinCount(int bins, const char* option);
 /// is converted to double once, so the result is bit-identical to summing
 /// the products in double precision pixel by pixel, for any image of at most
 /// 2^53 / q^3 pixels (2^35 at 8 bins per channel; DESIGN.md §16).
+///
+/// The soft kernel probes each row: a row where at least 8 of the first 16
+/// pixels repeat their left neighbour (a rendered background or table row)
+/// adds each run of identical pixels once, weighted by its length; any
+/// other row (sensor noise) takes the per-pixel loop. Both paths add the
+/// same integers, so the result does not depend on which one a row took.
 Histogram ComputeColorHistogram(const ImageRgb& rgb,
                                 int bins_per_channel = 8,
                                 bool soft_binning = false);

@@ -138,8 +138,14 @@ class PosixFileSystem : public FileSystem {
         return ErrnoStatus("mkdir", prefix);
       }
     }
-    if (::mkdir(path.c_str(), 0755) != 0 && errno != EEXIST) {
-      return ErrnoStatus("mkdir", path);
+    if (::mkdir(path.c_str(), 0755) != 0) {
+      if (errno != EEXIST) return ErrnoStatus("mkdir", path);
+      // EEXIST also means a file of another kind holds the name.
+      struct stat st;
+      if (::stat(path.c_str(), &st) != 0) return ErrnoStatus("stat", path);
+      if (!S_ISDIR(st.st_mode)) {
+        return Status::IoError("mkdir " + path + ": not a directory");
+      }
     }
     return Status::OK();
   }

@@ -72,7 +72,8 @@ class FileSystem {
   /// Truncates the file to exactly `size` bytes.
   virtual Status Truncate(const std::string& path, uint64_t size) = 0;
 
-  /// Creates the directory (and parents). OK if it already exists.
+  /// Creates the directory (and parents). OK if it already exists as a
+  /// directory; IoError if the path names a file of another kind.
   virtual Status CreateDir(const std::string& path) = 0;
 
   virtual bool Exists(const std::string& path) = 0;

@@ -87,8 +87,12 @@ FileSystem* EventCorpus::fs() const {
 
 Result<std::unique_ptr<EventCorpus>> EventCorpus::Open(
     const std::string& dir, const CorpusOptions& options) {
-  std::unique_ptr<EventCorpus> corpus(new EventCorpus(dir, options));
-  DIEVENT_RETURN_NOT_OK(corpus->fs()->CreateDir(dir));
+  // One spelling of the root: RegisterShard strips "<root>/" from store
+  // paths, which a trailing slash ("corpus/") would never match.
+  std::string root = dir;
+  while (root.size() > 1 && root.back() == '/') root.pop_back();
+  std::unique_ptr<EventCorpus> corpus(new EventCorpus(root, options));
+  DIEVENT_RETURN_NOT_OK(corpus->fs()->CreateDir(root));
   DIEVENT_RETURN_NOT_OK(corpus->LoadManifest());
   return corpus;
 }

@@ -108,7 +108,9 @@ struct CorpusQueryResult {
 class EventCorpus {
  public:
   /// Opens (creating if needed) the corpus in `dir` and loads the
-  /// manifest. A damaged manifest is Corruption, never a partial load.
+  /// manifest. A damaged manifest is Corruption, never a partial load;
+  /// a `dir` that exists but is not a directory is IoError. Trailing
+  /// slashes are dropped from `dir` (see dir()).
   static Result<std::unique_ptr<EventCorpus>> Open(
       const std::string& dir, const CorpusOptions& options = {});
 
@@ -154,6 +156,7 @@ class EventCorpus {
 
   /// Sealed shards, manifest order.
   std::vector<ShardIndexEntry> shards() const EXCLUDES(mu_);
+  /// The root as given to Open, without trailing slashes.
   const std::string& dir() const { return dir_; }
 
   /// True when the manifest alone proves the shard cannot contribute a

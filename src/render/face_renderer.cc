@@ -127,8 +127,7 @@ ImageRgb RenderFaceCrop(int size, Emotion emotion, double intensity,
                         double gaze_x, double gaze_y, Rgb marker_color,
                         Rgb background) {
   ImageRgb crop(size, size, 3);
-  for (int y = 0; y < size; ++y)
-    for (int x = 0; x < size; ++x) PutRgb(&crop, x, y, background);
+  FillRect(&crop, 0, 0, size, size, background);
   FaceRenderParams p;
   p.center_px = {size / 2.0, size / 2.0};
   p.radius_px = size * 0.46;

@@ -41,9 +41,8 @@ ImageRgb RenderView(const DiningScene& scene,
   const Intrinsics& k = cam.intrinsics();
   ImageRgb frame(k.width, k.height, 3);
 
-  const Rgb bg = Scale(options.background, options.illumination);
-  for (int y = 0; y < k.height; ++y)
-    for (int x = 0; x < k.width; ++x) PutRgb(&frame, x, y, bg);
+  FillRect(&frame, 0, 0, k.width, k.height,
+           Scale(options.background, options.illumination));
 
   if (options.draw_table) {
     const Table& t = scene.table();

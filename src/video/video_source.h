@@ -216,7 +216,12 @@ class MultiCameraSource {
   /// admission -> concurrent read -> fold sequence for frame indices
   /// `start_index`, `start_index + stride`, ... ahead of the consumer,
   /// keeping at most `depth` folded frame sets buffered (backpressure
-  /// blocks the pump, bounding memory and run-ahead). GetFrames then pops
+  /// blocks the pump, bounding memory and run-ahead). At most depth + 2
+  /// sets are read and not yet returned by GetFrames: `depth` queued, one
+  /// folded set waiting for room, and the one being read. The pipeline
+  /// passes max(1, prefetch_depth - window), because its window of
+  /// in-flight frames already holds the rest of the read-ahead
+  /// (PlanReadAhead in core/pipeline.h). GetFrames then pops
   /// the next buffered set instead of dispatching, so acquisition —
   /// decode, retries, deadline waits, breaker bookkeeping — overlaps the
   /// caller's analysis while producing byte-identical sets, health state,

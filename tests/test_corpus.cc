@@ -252,6 +252,43 @@ TEST(CorpusTest, RegisterShardRefusesAMissingStoreDirectory) {
   EXPECT_EQ(corpus.value()->shards().size(), 1u);
 }
 
+TEST(CorpusTest, RootWithTrailingSlashStillRecordsRelativeShardPaths) {
+  const std::string dir = FreshCorpusDir("corpus_trailing_slash");
+  auto corpus = EventCorpus::Open(dir + "//");
+  ASSERT_TRUE(corpus.ok());
+  EXPECT_EQ(corpus.value()->dir(), dir);
+  // The store path as the fleet builds it from `--corpus dir/`: the root,
+  // spelled with its slash, joined with the tenant's name.
+  const std::string store_dir = JoinPath(dir + "/", "alpha");
+  {
+    auto store = DurableEventStore::Open(store_dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value()->SetContext(Context(1)).ok());
+    ASSERT_TRUE(store.value()->AppendBatch(EventBatch(1, 4)).ok());
+    ASSERT_TRUE(store.value()->Close().ok());
+  }
+  ASSERT_TRUE(corpus.value()->RegisterShard(store_dir).ok());
+  auto shards = corpus.value()->shards();
+  ASSERT_EQ(shards.size(), 1u);
+  EXPECT_EQ(shards[0].dir, "alpha");
+}
+
+TEST(CorpusTest, OpenRefusesARegularFile) {
+  const std::string dir = FreshCorpusDir("corpus_regular_file");
+  FileSystem* fs = FileSystem::Default();
+  ASSERT_TRUE(fs->CreateDir(dir).ok());
+  const std::string file = JoinPath(dir, "afile");
+  ASSERT_TRUE(AtomicWriteFile(fs, file, "not a corpus").ok());
+  auto corpus = EventCorpus::Open(file);
+  EXPECT_EQ(corpus.status().code(), StatusCode::kIoError)
+      << corpus.status();
+  // CreateDir itself: an existing directory is fine, a file is not.
+  EXPECT_TRUE(fs->CreateDir(dir).ok());
+  EXPECT_EQ(fs->CreateDir(file).code(), StatusCode::kIoError);
+  EXPECT_EQ(fs->CreateDir(JoinPath(file, "below")).code(),
+            StatusCode::kIoError);
+}
+
 TEST(CorpusTest, ScopePredicatesFilterAgainstTheManifestAlone) {
   const std::string dir = FreshCorpusDir("corpus_scope");
   auto corpus = EventCorpus::Open(dir);

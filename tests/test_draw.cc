@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 namespace dievent {
 namespace {
 
@@ -30,6 +32,21 @@ TEST(FillRect, ClipsAtBorders) {
   EXPECT_EQ(CountColor(img, kRed), 4);  // only the 2x2 inside
   FillRect(&img, 3, 3, 10, 10, kRed);
   EXPECT_EQ(GetRgb(img, 3, 3), kRed);
+}
+
+TEST(FillRect, MatchesPerPixelReferenceWhenClippedOrEmpty) {
+  for (auto [x0, y0, w, h] :
+       {std::array{-3, -2, 10, 6}, {5, 4, 100, 100}, {-10, 0, 5, 5},
+        {2, 3, 0, 4}, {0, 0, 64, 32}}) {
+    ImageRgb want(64, 32, 3);
+    want.Fill(9);
+    ImageRgb got = want;
+    for (int y = y0; y < y0 + h; ++y) {
+      for (int x = x0; x < x0 + w; ++x) PutRgb(&want, x, y, Rgb{1, 2, 3});
+    }
+    FillRect(&got, x0, y0, w, h, Rgb{1, 2, 3});
+    EXPECT_TRUE(got == want) << x0 << "," << y0 << " " << w << "x" << h;
+  }
 }
 
 TEST(FillCircle, AreaApproximatesPiR2) {

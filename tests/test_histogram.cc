@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -127,6 +129,77 @@ TEST(ColorHistogramExactness, SolidEdgeValuesAndEmptyImageMatchDoubleLoop) {
   const ImageRgb empty(0, 0, 3);
   ExpectBitIdentical(empty, "0x0");
   EXPECT_EQ(ComputeColorHistogram(empty, 8, true).NumBins(), 512);
+}
+
+/// Fills row y of `img` with pixels from `pick(x)`.
+template <typename Pick>
+void FillRow(ImageRgb* img, int y, Pick pick) {
+  for (int x = 0; x < img->width(); ++x) PutRgb(img, x, y, pick(x));
+}
+
+Rgb RandomRgb(Rng* rng) {
+  return Rgb{static_cast<uint8_t>(rng->NextBelow(256)),
+             static_cast<uint8_t>(rng->NextBelow(256)),
+             static_cast<uint8_t>(rng->NextBelow(256))};
+}
+
+TEST(ColorHistogramExactness, RunMergedRowsMatchDoubleLoop) {
+  // One image per row shape the soft kernel's probe distinguishes; each
+  // is checked alone and stacked with the others, so a row's path choice
+  // cannot leak into the next row.
+  Rng rng(64);
+  const int w = 48;
+  const Rgb a{90, 105, 125}, b{150, 105, 60}, c{17, 200, 3};
+  std::vector<std::pair<std::string, std::function<Rgb(int)>>> rows = {
+      {"flat", [&](int) { return a; }},
+      {"noisy", [&](int) { return RandomRgb(&rng); }},
+      {"flat then noisy",
+       [&](int x) { return x < 20 ? a : RandomRgb(&rng); }},
+      {"noisy then flat", [&](int x) { return x < 20 ? RandomRgb(&rng) : b; }},
+      {"runs of 1 to 5", [&](int x) { return (x / (1 + x % 5)) % 2 ? a : c; }},
+      {"run ends at the row end", [&](int x) { return x < w - 7 ? a : b; }},
+      {"last pixel differs", [&](int x) { return x < w - 1 ? a : c; }},
+      {"first pixel differs", [&](int x) { return x == 0 ? c : b; }},
+      {"exactly 8 repeats in the probe",
+       [&](int x) { return x < 9 ? a : (x % 2 ? b : c); }},
+      {"7 repeats in the probe",
+       [&](int x) { return x < 8 ? a : (x % 2 ? b : c); }},
+      {"edge values", [&](int x) {
+         return x % 16 < 8 ? Rgb{0, 0, 0} : Rgb{255, 255, 255};
+       }},
+  };
+  ImageRgb stacked(w, static_cast<int>(rows.size()), 3);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ImageRgb one(w, 3, 3);
+    for (int y = 0; y < 3; ++y) FillRow(&one, y, rows[i].second);
+    ExpectBitIdentical(one, rows[i].first);
+    FillRow(&stacked, static_cast<int>(i), rows[i].second);
+  }
+  ExpectBitIdentical(stacked, "stacked rows");
+  // A run may not continue across a row boundary: rows that end and start
+  // with the same pixel are two runs.
+  ImageRgb wrap(w, 4, 3);
+  wrap.Fill(77);
+  ExpectBitIdentical(wrap, "one color across rows");
+}
+
+TEST(ColorHistogramExactness, NarrowAndDegenerateShapesMatchDoubleLoop) {
+  // Widths below the 16-pixel probe (some rows cannot reach 8 repeats),
+  // 1x1, 1xN and Nx1, flat and noisy.
+  Rng rng(65);
+  for (auto [w, h] : {std::pair{1, 1}, {1, 9}, {9, 1}, {2, 5}, {8, 3},
+                      {9, 3}, {15, 4}, {16, 2}, {17, 2}, {40, 1}}) {
+    const std::string size = std::to_string(w) + "x" + std::to_string(h);
+    ImageRgb flat(w, h, 3);
+    for (int y = 0; y < h; ++y) {
+      const Rgb row_color = RandomRgb(&rng);
+      FillRow(&flat, y, [&](int) { return row_color; });
+    }
+    ExpectBitIdentical(flat, "flat " + size);
+    ImageRgb noisy(w, h, 3);
+    for (uint8_t& v : noisy.data()) v = static_cast<uint8_t>(rng.NextBelow(256));
+    ExpectBitIdentical(noisy, "noisy " + size);
+  }
 }
 
 TEST(HistogramBinCount, PowersOfTwoUpTo256AreValid) {

@@ -6,7 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <deque>
+#include <memory>
+#include <thread>
+
 #include "sim/scenario.h"
+#include "video/video_source.h"
 
 namespace dievent {
 namespace {
@@ -196,6 +203,113 @@ TEST(PipelineReport, SummaryStringMentionsDominance) {
   std::string s = report.value().Summary();
   EXPECT_NE(s.find("dominant participant: P1"), std::string::npos);
   EXPECT_NE(s.find("look-at summary"), std::string::npos);
+}
+
+/// Counts the frames read through it and records, at each read, how far
+/// the reads have run ahead of the consumer's commits.
+class CountingSource : public VideoSource {
+ public:
+  CountingSource(std::unique_ptr<VideoSource> inner,
+                 const std::atomic<int>* committed)
+      : inner_(std::move(inner)), committed_(committed) {}
+
+  int NumFrames() const override { return inner_->NumFrames(); }
+  double Fps() const override { return inner_->Fps(); }
+  Result<VideoFrame> GetFrame(int index) override {
+    const int ahead = reads_.fetch_add(1) + 1 - committed_->load();
+    int seen = max_ahead_.load();
+    while (ahead > seen && !max_ahead_.compare_exchange_weak(seen, ahead)) {
+    }
+    return inner_->GetFrame(index);
+  }
+
+  int reads() const { return reads_.load(); }
+  int max_ahead() const { return max_ahead_.load(); }
+
+ private:
+  std::unique_ptr<VideoSource> inner_;
+  const std::atomic<int>* committed_;
+  std::atomic<int> reads_{0};
+  std::atomic<int> max_ahead_{0};
+};
+
+TEST(PipelineReadAhead, PlanSizesTheWindowAndThePump) {
+  PipelineOptions opt;
+  opt.num_threads = 4;
+  opt.prefetch_depth = 4;
+  ReadAhead plan = PlanReadAhead(opt);
+  EXPECT_EQ(plan.workers, 4);
+  EXPECT_EQ(plan.window, 4);
+  EXPECT_EQ(plan.pump_depth, 1);  // the window holds the rest
+  EXPECT_EQ(plan.MaxSetsAhead(), 7);
+  opt.num_threads = 1;
+  plan = PlanReadAhead(opt);
+  EXPECT_EQ(plan.window, 1);
+  EXPECT_EQ(plan.pump_depth, 3);
+  opt.prefetch_depth = 0;
+  plan = PlanReadAhead(opt);
+  EXPECT_EQ(plan.pump_depth, 0);
+  EXPECT_EQ(plan.MaxSetsAhead(), 1);
+  opt.mode = PipelineMode::kGroundTruth;
+  opt.num_threads = 8;
+  opt.prefetch_depth = 8;
+  plan = PlanReadAhead(opt);
+  EXPECT_EQ(plan.workers, 1);
+  EXPECT_EQ(plan.window, 1);
+  EXPECT_EQ(plan.pump_depth, 0);
+}
+
+TEST(PipelineReadAhead, ReadsNeverRunPastThePlannedBound) {
+  // The executor's consumption pattern over a prefetching source: keep
+  // the window full, then retire the head frame. The consumer is slower
+  // than the reads, so the pump fills its queue and waits at the bound.
+  constexpr int kFrames = 40;
+  for (int threads : {1, 4}) {
+    for (int depth : {1, 2, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " prefetch_depth=" + std::to_string(depth));
+      PipelineOptions opt;
+      opt.num_threads = threads;
+      opt.prefetch_depth = depth;
+      const ReadAhead plan = PlanReadAhead(opt);
+      ASSERT_GT(plan.pump_depth, 0);
+
+      std::atomic<int> committed{0};
+      std::vector<std::unique_ptr<VideoSource>> sources;
+      for (int c = 0; c < 2; ++c) {
+        std::vector<ImageRgb> frames(kFrames, ImageRgb(8, 8, 3));
+        sources.push_back(
+            std::make_unique<MemoryVideoSource>(std::move(frames), 25.0));
+      }
+      auto counting =
+          std::make_unique<CountingSource>(std::move(sources[0]), &committed);
+      const CountingSource* counter = counting.get();
+      sources[0] = std::move(counting);
+      Result<MultiCameraSource> created =
+          MultiCameraSource::Create(std::move(sources));
+      ASSERT_TRUE(created.ok());
+      MultiCameraSource multi = std::move(created).TakeValue();
+      ASSERT_TRUE(multi.StartPrefetch(0, 1, plan.pump_depth).ok());
+
+      std::deque<SynchronizedFrameSet> inflight;
+      int next = 0;
+      while (!inflight.empty() || next < kFrames) {
+        while (static_cast<int>(inflight.size()) < plan.window &&
+               next < kFrames) {
+          Result<SynchronizedFrameSet> set = multi.GetFrames(next++);
+          ASSERT_TRUE(set.ok()) << set.status().ToString();
+          inflight.push_back(std::move(set).TakeValue());
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+        inflight.pop_front();
+        committed.fetch_add(1);
+      }
+      multi.StopPrefetch();
+      EXPECT_EQ(counter->reads(), kFrames);
+      EXPECT_GE(counter->max_ahead(), plan.window);
+      EXPECT_LE(counter->max_ahead(), plan.MaxSetsAhead());
+    }
+  }
 }
 
 }  // namespace

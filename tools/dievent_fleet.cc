@@ -5,8 +5,9 @@
 ///   dievent_fsck --fleet /data/fleet   # inspect the stores afterwards
 ///
 /// Exit codes:
-///   0  every admitted tenant completed
-///   1  at least one tenant was parked (its error budget ran out)
+///   0  every admitted tenant completed (and, with --corpus, registered)
+///   1  at least one tenant was parked (its error budget ran out), or a
+///      completed tenant's store could not be registered in the corpus
 ///   2  usage or environmental error (bad flag or flag value, unreadable
 ///      directory, unparsable scene)
 
@@ -138,6 +139,13 @@ int main(int argc, char** argv) {
   if (!drained.ok()) {
     std::fprintf(stderr, "dievent_fleet: %s\n",
                  drained.ToString().c_str());
+    return 1;
+  }
+  if (stats.corpus_register_failures > 0) {
+    std::fprintf(stderr,
+                 "dievent_fleet: %d completed tenant(s) not registered in "
+                 "the corpus\n",
+                 stats.corpus_register_failures);
     return 1;
   }
   return 0;
