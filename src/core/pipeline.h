@@ -117,8 +117,9 @@ struct PipelineOptions {
   /// sequence ahead of the consumer, so decode + retries + deadline waits
   /// overlap analysis. The executor's window already holds frames read
   /// ahead, so the pump queues only max(1, prefetch_depth - window) sets
-  /// (PlanReadAhead). Independent of num_threads: the pump runs at any
-  /// worker count.
+  /// (PlanReadAhead): one set with a pool, max(1, prefetch_depth - 1)
+  /// inline. Independent of num_threads: the pump runs at any worker
+  /// count.
   int prefetch_depth = 0;
 
   /// Durable persistence (optional; not owned, must outlive the run).
@@ -161,18 +162,13 @@ struct ReadAhead {
   int workers = 1;     ///< pool workers; 1 = the frame's tasks run inline
   int window = 1;      ///< frames in flight between acquisition and commit
   int pump_depth = 0;  ///< sets the prefetch pump queues; 0 = no pump
-
-  /// Bound on camera sets read but not yet committed: the window plus,
-  /// with a pump, its queue, one folded set waiting for room and the set
-  /// being read (MultiCameraSource::StartPrefetch).
-  int MaxSetsAhead() const {
-    return window + (pump_depth > 0 ? pump_depth + 2 : 0);
-  }
 };
 
 /// kFullVision: max(1, num_threads) workers; a window of one frame when
 /// inline, else max(2, num_threads, prefetch_depth); and, when
 /// prefetch_depth > 0, a pump of max(1, prefetch_depth - window) sets.
+/// A pooled window already covers prefetch_depth, so a pooled run's pump
+/// queues one set and an inline run's queues max(1, prefetch_depth - 1).
 /// kGroundTruth has no vision tasks worth a pool or a read-ahead: one
 /// inline frame and no pump, so fleet tenants never spawn threads.
 ReadAhead PlanReadAhead(const PipelineOptions& options);

@@ -56,7 +56,8 @@ std::array<SoftSplit, 256> SoftSplitTable(int n, uint32_t stride) {
 /// The soft kernel's row probe: true when at least kProbeRepeats of the
 /// row's first kProbePixels pixels equal their left neighbour. Rendered
 /// background and table rows pass; a noisy sensor row fails within 16
-/// pixels and keeps the per-pixel loop.
+/// pixels and keeps the per-pixel loop, which signs σ = 6 views about 1.6×
+/// faster than the run loop does (DESIGN.md §16).
 constexpr int kProbePixels = 16;
 constexpr int kProbeRepeats = 8;
 

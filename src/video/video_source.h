@@ -221,7 +221,8 @@ class MultiCameraSource {
   /// folded set waiting for room, and the one being read. The pipeline
   /// passes max(1, prefetch_depth - window), because its window of
   /// in-flight frames already holds the rest of the read-ahead
-  /// (PlanReadAhead in core/pipeline.h). GetFrames then pops
+  /// (PlanReadAhead in core/pipeline.h): one set with a pool,
+  /// max(1, prefetch_depth - 1) inline. GetFrames then pops
   /// the next buffered set instead of dispatching, so acquisition —
   /// decode, retries, deadline waits, breaker bookkeeping — overlaps the
   /// caller's analysis while producing byte-identical sets, health state,
