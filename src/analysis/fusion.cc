@@ -4,6 +4,13 @@ namespace dievent {
 
 namespace {
 
+/// Weight multiplier for observations extracted from held (stale) frames —
+/// a failed camera's last good read substituted by the acquisition layer.
+/// Heads move little over a few frames, so stale views still anchor
+/// position, but fresh views must dominate and win best-view gaze
+/// selection.
+constexpr double kStaleViewWeight = 0.5;
+
 /// Resolves unknown identities by the seat prior: each unidentified
 /// observation adopts the nearest seat within the gate radius. Several
 /// observations may map to the same seat — different cameras legitimately
@@ -56,8 +63,7 @@ std::vector<FusedParticipant> FuseObservations(
   for (const FaceObservation& obs : resolved) {
     if (obs.identity < 0 || obs.identity >= num_participants) continue;
     if (obs.identity_confidence < options.min_identity_confidence) continue;
-    const double staleness = obs.stale ? options.stale_view_weight : 1.0;
-    if (staleness <= 0.0) continue;
+    const double staleness = obs.stale ? kStaleViewWeight : 1.0;
     FusedParticipant& f = fused[obs.identity];
     f.num_views += 1;
     if (obs.stale) f.num_stale_views += 1;

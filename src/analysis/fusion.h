@@ -35,12 +35,6 @@ struct FusionOptions {
   /// seat is a strong identity cue when appearance fails.
   std::vector<Vec3> seat_prior;
   double seat_radius_m = 0.45;
-  /// Weight multiplier for observations extracted from held (stale)
-  /// frames — a failed camera's last good read substituted by the
-  /// acquisition layer. Heads move little over a few frames, so stale
-  /// views still anchor position, but fresh views must dominate and win
-  /// best-view gaze selection. 0 discards stale views entirely.
-  double stale_view_weight = 0.5;
 };
 
 /// Fused per-participant state plus bookkeeping on where it came from.

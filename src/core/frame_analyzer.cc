@@ -68,6 +68,14 @@ Result<FrameAnalysis> FrameAnalyzer::Analyze(
         "expected %zu quality flags (one per frame), got %zu",
         frames.size(), quality.size()));
   }
+  for (size_t c = 0; c < frames.size(); ++c) {
+    if (quality[c] != CameraFrameQuality::kAbsent &&
+        frames[c].channels() != 3) {
+      return Status::InvalidArgument(StrFormat(
+          "camera %s: frame has %d channels, need 3 (RGB)",
+          rig_->camera(cameras_[c]).name().c_str(), frames[c].channels()));
+    }
+  }
 
   std::vector<CameraVision> vision(cameras_.size());
   auto process_camera = [&](int c) {

@@ -84,7 +84,8 @@ class FrameAnalyzer {
   /// are skipped (their trackers see an empty detection set, so tracks age
   /// out naturally); stale cameras are analyzed but their observations are
   /// flagged for down-weighted fusion. `frames[c]` is ignored for absent
-  /// cameras and may be empty.
+  /// cameras and may be empty; every other frame must have 3 channels
+  /// (InvalidArgument naming the camera otherwise).
   Result<FrameAnalysis> Analyze(int frame_index,
                                 const std::vector<ImageRgb>& frames,
                                 const std::vector<CameraFrameQuality>& quality);

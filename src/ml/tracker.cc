@@ -8,6 +8,9 @@ namespace dievent {
 
 namespace {
 
+/// Matches with IoU below this are forbidden (gating).
+constexpr double kMinIou = 0.05;
+
 /// Predicted box for a track one frame ahead (constant-velocity model).
 BBox PredictBox(const Track& t) {
   BBox b = t.bbox;
@@ -36,7 +39,7 @@ const std::vector<Track>& MultiTracker::Update(
         // Forbidden matches get a cost far above any feasible one, so the
         // assignment only uses them when no alternative exists; they are
         // filtered below.
-        cost[t][d] = iou >= options_.min_iou ? 1.0 - iou : 1e6;
+        cost[t][d] = iou >= kMinIou ? 1.0 - iou : 1e6;
       }
     }
     std::vector<int> match = SolveAssignment(cost);
@@ -104,7 +107,7 @@ const std::vector<Track>& MultiTracker::Update(
 std::vector<Track> MultiTracker::ConfirmedTracks() const {
   std::vector<Track> out;
   for (const Track& t : tracks_) {
-    if (t.Confirmed(options_)) out.push_back(t);
+    if (t.Confirmed()) out.push_back(t);
   }
   return out;
 }

@@ -15,12 +15,8 @@
 namespace dievent {
 
 struct TrackerOptions {
-  /// Matches with IoU below this are forbidden (gating).
-  double min_iou = 0.05;
   /// Tracks are dropped after this many consecutive unmatched frames.
   int max_misses = 8;
-  /// A track is confirmed (reported) after this many hits.
-  int min_hits = 2;
 };
 
 /// One tracked head.
@@ -35,7 +31,10 @@ struct Track {
   int last_frame = -1;
   Vec2 velocity_px;   ///< per-frame centre motion estimate
 
-  bool Confirmed(const TrackerOptions& o) const { return hits >= o.min_hits; }
+  /// A track is confirmed (reported) after this many hits.
+  static constexpr int kMinHits = 2;
+
+  bool Confirmed() const { return hits >= kMinHits; }
 };
 
 class MultiTracker {

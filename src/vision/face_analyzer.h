@@ -17,18 +17,13 @@
 namespace dievent {
 
 struct FaceAnalyzerOptions {
-  FaceDetectorOptions detector;
-  LandmarkOptions landmarks;
   HeadPoseOptions head_pose;
 };
 
 class FaceAnalyzer {
  public:
   explicit FaceAnalyzer(FaceAnalyzerOptions options = {})
-      : options_(options),
-        detector_(options.detector),
-        localizer_(options.landmarks),
-        head_pose_(options.head_pose) {}
+      : head_pose_(options.head_pose) {}
 
   /// Analyzes one frame from `camera`. Every detection yields an
   /// observation; `has_gaze` is set only for frontal faces with valid eye
@@ -37,10 +32,7 @@ class FaceAnalyzer {
                                        int camera_index,
                                        const ImageRgb& frame) const;
 
-  const FaceDetector& detector() const { return detector_; }
-
  private:
-  FaceAnalyzerOptions options_;
   FaceDetector detector_;
   LandmarkLocalizer localizer_;
   GazeEstimator gaze_;

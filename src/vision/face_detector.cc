@@ -1,10 +1,8 @@
 #include "vision/face_detector.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
+#include <cstdint>
 
-#include "common/arena.h"
 #include "common/simd.h"
 #include "render/face_renderer.h"
 
@@ -22,11 +20,45 @@ double IoU(const BBox& a, const BBox& b) {
 
 namespace {
 
-bool NearColor(const ImageRgb& img, int x, int y, const Rgb& ref, int tol) {
-  return std::abs(img.at(x, y, 0) - ref.r) <= tol &&
-         std::abs(img.at(x, y, 1) - ref.g) <= tol &&
-         std::abs(img.at(x, y, 2) - ref.b) <= tol;
-}
+/// Per-channel color gate half-widths around the model skin/hair tones.
+/// Wide enough for heavy pixel noise (5 sigma at sigma=6), narrow enough
+/// that identity-marker colors a channel-distance > 32 away can never read
+/// as skin.
+constexpr int kSkinTolerance = 32;
+constexpr int kHairTolerance = 26;
+constexpr double kMinRadiusPx = 4.0;
+/// Components larger than this fraction of the smaller frame dimension are
+/// rejected (a head never fills the frame in a surveillance view, and a
+/// background-colored region sneaking through the gates would).
+constexpr double kMaxRadiusFraction = 0.49;
+/// Minimum component-area / disc-area ratio; rejects thin streaks.
+constexpr double kMinFillRatio = 0.25;
+/// Accepted bbox width/height range; heads are roughly round.
+constexpr double kMinAspect = 0.45;
+constexpr double kMaxAspect = 2.2;
+/// Detections overlapping more than this IoU are non-max suppressed.
+constexpr double kNmsIou = 0.4;
+
+/// Workspace of one Detect call: the two color masks, and the chunk
+/// occupancy map, label array and flood-fill stack that the skin and hair
+/// component passes share. Capacity only grows, so steady-state frames
+/// reuse it without touching the heap.
+struct DetectScratch {
+  std::vector<uint8_t> skin_mask;
+  std::vector<uint8_t> hair_mask;
+  std::vector<uint8_t> occupancy;
+  std::vector<int32_t> labels;
+  std::vector<int32_t> stack;
+
+  /// Makes every per-pixel buffer hold at least `n` entries.
+  void GrowTo(size_t n) {
+    if (labels.size() >= n) return;
+    skin_mask.resize(n);
+    hair_mask.resize(n);
+    occupancy.resize(simd::OccupancyEntries(n));
+    labels.resize(n);
+  }
+};
 
 struct Component {
   BBox bbox;
@@ -41,30 +73,33 @@ struct Component {
 /// with mask density, not frame area — on a typical dining frame faces
 /// cover a few percent of the pixels. Skipping the clear of unoccupied
 /// chunks is sound because labels are only ever read at indices where the
-/// mask is nonzero, and every such index lies in an occupied chunk.
+/// mask is nonzero, and every such index lies in an occupied chunk; for
+/// the same reason, labels that the other pass or an earlier frame left in
+/// an unoccupied chunk are never read.
 /// Occupied chunks are walked in index order, so seeds are discovered in
 /// exactly the row-major order of the full scan and the component list
 /// (and everything downstream) is bit-identical to it.
 ///
-/// All scratch (occupancy, labels, stack) lives on the caller's arena.
+/// The occupancy map, labels and stack come from `scratch`, sized by the
+/// caller; both passes of a Detect call reuse them.
 std::vector<Component> FindComponents(const uint8_t* mask, int width,
-                                      int height, Arena* arena) {
+                                      int height, DetectScratch* scratch) {
   // lint: hot-path-begin(find-components)
   // The returned list is the function's product and escapes the frame, so
   // it alone stays on the heap.
   std::vector<Component> comps;  // lint: allow(hot-path-alloc)
   const size_t n = static_cast<size_t>(width) * height;
   const size_t chunks = simd::OccupancyEntries(n);
-  uint8_t* occ = arena->AllocateArray<uint8_t>(chunks);
+  uint8_t* occ = scratch->occupancy.data();
   simd::OccupancyMap(mask, n, occ);
-  int32_t* label = arena->AllocateArray<int32_t>(n);
+  int32_t* label = scratch->labels.data();
   for (size_t c = 0; c < chunks; ++c) {
     if (!occ[c]) continue;
     const size_t begin = c * simd::kOccChunk;
     const size_t end = std::min(n, begin + simd::kOccChunk);
     std::fill(label + begin, label + end, -1);
   }
-  ArenaVector<int32_t> stack{ArenaAllocator<int32_t>(arena)};
+  std::vector<int32_t>& stack = scratch->stack;
   for (size_t c = 0; c < chunks; ++c) {
     if (!occ[c]) continue;
     const size_t begin = c * simd::kOccChunk;
@@ -111,14 +146,13 @@ std::vector<Component> FindComponents(const uint8_t* mask, int width,
 }  // namespace
 
 std::vector<FaceDetection> FaceDetector::Detect(const ImageRgb& frame) const {
-  // Every frame-sized buffer (color masks, component labels, flood-fill
-  // stack, chunk occupancy) is carved from this arena, reset on entry: zero
-  // heap allocations per frame once the block chain has warmed up. The
-  // pipelined executor runs Detect concurrently across cameras and frames,
-  // so the arena is per thread.
-  thread_local Arena arena;
-  arena.Reset();
+  if (frame.channels() != 3) return {};
+  // The pipelined executor runs Detect concurrently across cameras and
+  // frames, so the workspace is per thread.
+  thread_local DetectScratch scratch;
   const int w = frame.width(), h = frame.height();
+  const size_t n = static_cast<size_t>(w) * h;
+  scratch.GrowTo(n);
   // lint: hot-path-begin(face-detect)
   // Detections escape the frame (they flow into tracks and records); the
   // raw and suppressed lists are the only heap traffic left here.
@@ -126,43 +160,27 @@ std::vector<FaceDetection> FaceDetector::Detect(const ImageRgb& frame) const {
 
   // Both color gates are evaluated in one pass over the pixel data (the
   // frame streams through the cache once, 16 pixels per step under SIMD).
-  const size_t n = static_cast<size_t>(w) * h;
-  uint8_t* skin_mask = arena.AllocateArray<uint8_t>(n);
-  uint8_t* hair_mask = arena.AllocateArray<uint8_t>(n);
   const Rgb skin = face_model::kSkin;
   const Rgb hair = face_model::kHair;
-  const int skin_tol = options_.skin_tolerance;
-  const int hair_tol = options_.hair_tolerance;
-  if (frame.channels() == 3) {
-    simd::ColorMasks2(frame.data().data(), n, skin.r, skin.g, skin.b,
-                      skin_tol, hair.r, hair.g, hair.b, hair_tol, skin_mask,
-                      hair_mask);
-  } else {
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        const size_t i = static_cast<size_t>(y) * w + x;
-        skin_mask[i] = NearColor(frame, x, y, skin, skin_tol) ? 1 : 0;
-        hair_mask[i] = NearColor(frame, x, y, hair, hair_tol) ? 1 : 0;
-      }
-    }
-  }
+  simd::ColorMasks2(frame.data().data(), n, skin.r, skin.g, skin.b,
+                    kSkinTolerance, hair.r, hair.g, hair.b, kHairTolerance,
+                    scratch.skin_mask.data(), scratch.hair_mask.data());
 
   for (bool front : {true, false}) {
-    const uint8_t* mask = front ? skin_mask : hair_mask;
-    for (const Component& c : FindComponents(mask, w, h, &arena)) {
+    const uint8_t* mask =
+        front ? scratch.skin_mask.data() : scratch.hair_mask.data();
+    for (const Component& c : FindComponents(mask, w, h, &scratch)) {
       // The head disc's widest extent is skin/hair on both sides, so the
       // bbox width is the best radius estimate; the bottom of the disc is
       // uncovered, so the centre sits one radius above the bbox bottom.
       double radius = c.bbox.w / 2.0;
-      if (radius < options_.min_radius_px) continue;
-      if (radius > options_.max_radius_fraction * std::min(w, h)) continue;
+      if (radius < kMinRadiusPx) continue;
+      if (radius > kMaxRadiusFraction * std::min(w, h)) continue;
       double aspect = static_cast<double>(c.bbox.w) / c.bbox.h;
-      if (aspect < options_.min_aspect || aspect > options_.max_aspect) {
-        continue;
-      }
+      if (aspect < kMinAspect || aspect > kMaxAspect) continue;
       constexpr double kPi = 3.14159265358979323846;
       double fill = static_cast<double>(c.area) / (kPi * radius * radius);
-      if (fill < options_.min_fill_ratio) continue;
+      if (fill < kMinFillRatio) continue;
       FaceDetection det;
       det.bbox = c.bbox;
       det.radius_px = radius;
@@ -188,7 +206,7 @@ std::vector<FaceDetection> FaceDetector::Detect(const ImageRgb& frame) const {
   for (const FaceDetection& det : raw) {
     bool keep = true;
     for (const FaceDetection& kept : out) {
-      if (IoU(det.bbox, kept.bbox) > options_.nms_iou) {
+      if (IoU(det.bbox, kept.bbox) > kNmsIou) {
         keep = false;
         break;
       }

@@ -10,6 +10,13 @@ namespace dievent {
 
 namespace {
 
+/// Color gate half-widths.
+constexpr int kEyeWhiteTolerance = 60;
+/// Tight enough to exclude eyebrow pixels (kBrow is 35 levels away).
+constexpr int kIrisTolerance = 30;
+/// Tight enough to exclude hair pixels from occluding heads.
+constexpr int kMouthTolerance = 45;
+
 bool Near(const ImageRgb& img, int x, int y, const Rgb& ref, int tol) {
   return std::abs(img.at(x, y, 0) - ref.r) <= tol &&
          std::abs(img.at(x, y, 1) - ref.g) <= tol &&
@@ -68,9 +75,9 @@ FaceLandmarks LandmarkLocalizer::Localize(
                      c.y + face_model::kEyeOffsetY * r};
   Vec2 white_left, white_right;
   ok &= ColorCentroid(frame, nominal_left, rx, ry, face_model::kEyeWhite,
-                      options_.eye_white_tolerance, &white_left);
+                      kEyeWhiteTolerance, &white_left);
   ok &= ColorCentroid(frame, nominal_right, rx, ry, face_model::kEyeWhite,
-                      options_.eye_white_tolerance, &white_right);
+                      kEyeWhiteTolerance, &white_right);
   if (ok) {
     // Report the *measured white centroids* as the eye anchors. They are
     // biased away from the iris (the iris hides part of the white), but
@@ -82,9 +89,9 @@ FaceLandmarks LandmarkLocalizer::Localize(
     Vec2 iris_left, iris_right;
     bool iris_ok =
         ColorCentroid(frame, nominal_left, rx, ry, face_model::kIris,
-                      options_.iris_tolerance, &iris_left) &&
+                      kIrisTolerance, &iris_left) &&
         ColorCentroid(frame, nominal_right, rx, ry, face_model::kIris,
-                      options_.iris_tolerance, &iris_right);
+                      kIrisTolerance, &iris_right);
     if (iris_ok) {
       lm.left_iris = iris_left;
       lm.right_iris = iris_right;
@@ -96,7 +103,7 @@ FaceLandmarks LandmarkLocalizer::Localize(
   if (ColorCentroid(frame,
                     Vec2{c.x, c.y + face_model::kMouthY * r},
                     0.5 * r, 0.4 * r, face_model::kMouth,
-                    options_.mouth_tolerance, &mouth)) {
+                    kMouthTolerance, &mouth)) {
     lm.mouth = mouth;
     lm.mouth_valid = true;
   }

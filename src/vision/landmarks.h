@@ -12,27 +12,12 @@
 
 namespace dievent {
 
-struct LandmarkOptions {
-  /// Color gate half-widths.
-  int eye_white_tolerance = 60;
-  /// Tight enough to exclude eyebrow pixels (kBrow is 35 levels away).
-  int iris_tolerance = 30;
-  /// Tight enough to exclude hair pixels from occluding heads.
-  int mouth_tolerance = 45;
-};
-
 class LandmarkLocalizer {
  public:
-  explicit LandmarkLocalizer(LandmarkOptions options = {})
-      : options_(options) {}
-
   /// Localizes landmarks for one frontal detection. Non-frontal detections
   /// return landmarks with all validity flags false.
   FaceLandmarks Localize(const ImageRgb& frame,
                          const FaceDetection& detection) const;
-
- private:
-  LandmarkOptions options_;
 };
 
 }  // namespace dievent

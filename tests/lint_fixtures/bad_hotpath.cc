@@ -1,31 +1,39 @@
 /// \file bad_hotpath.cc
 /// Lint self-test fixture: per-frame heap allocation inside an annotated
-/// hot-path region, plus the blessed arena/scratch idioms that must stay
-/// clean and the waiver escape hatch.
+/// hot-path region, plus the blessed per-thread scratch idioms that must
+/// stay clean and the waiver escape hatch.
 /// Never compiled; scanned by `dievent_lint.py --self-test`.
 
 #include <cstdint>
 #include <vector>
 
-#include "common/arena.h"
-
 namespace dievent {
 
-void AnalyzeFrame(const uint8_t* pixels, size_t n, Arena* arena) {
+/// The workspace a hot leaf keeps in a function-local `thread_local`.
+struct FrameScratch {
+  std::vector<uint8_t> mask;
+  std::vector<int32_t> stack;
+};
+
+void AnalyzeFrame(const uint8_t* pixels, size_t n) {
+  thread_local FrameScratch scratch;
+  // Grow-only sizing happens before the region opens.
+  if (scratch.mask.size() < n) scratch.mask.resize(n);
   // lint: hot-path-begin(analyze-frame)
   std::vector<uint8_t> mask(n);  // lint-expect(hot-path-alloc)
-  uint8_t* arena_mask = arena->AllocateArray<uint8_t>(n);  // fine
+  uint8_t* scratch_mask = scratch.mask.data();  // fine
   float* scores = new float[n];  // lint-expect(hot-path-alloc)
   std::vector<float> feats;  // lint-expect(hot-path-alloc)
   feats.resize(n);  // lint-expect(hot-path-alloc)
   // References and pointers to vectors someone else owns are fine:
   const std::vector<float>& view = feats;
   std::vector<float>* handle = &feats;
-  ArenaVector<int32_t> stack{ArenaAllocator<int32_t>(arena)};  // fine
+  std::vector<int32_t>& stack = scratch.stack;  // fine
   // Steady-state-stable growth may waive per line, with a reason:
   feats.resize(n);  // capacity warmed up on frame 0  // lint: allow(hot-path-alloc)
+  (void)pixels;
   (void)mask;
-  (void)arena_mask;
+  (void)scratch_mask;
   (void)scores;
   (void)view;
   (void)handle;

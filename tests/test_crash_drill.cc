@@ -214,7 +214,9 @@ TEST(CrashDrill, EveryFrameBoundaryEverySeedZeroLossZeroDuplicates) {
       // Half the drills power-cut on top of the kill; with
       // FsyncPolicy::kEveryRecord (the default) acked == synced, so
       // the outcome must not change.
-      if (ci % 2 == 1) ASSERT_TRUE(faulty.LoseUnsyncedData().ok());
+      if (ci % 2 == 1) {
+        ASSERT_TRUE(faulty.LoseUnsyncedData().ok());
+      }
 
       // Recovery on the healthy filesystem.
       auto recovered = DurableEventStore::Open(dir);

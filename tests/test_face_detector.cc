@@ -63,6 +63,21 @@ TEST(FaceDetector, EmptyFrameYieldsNothing) {
   EXPECT_TRUE(det.Detect(Background(100, 100)).empty());
 }
 
+TEST(FaceDetector, NonRgbFrameYieldsNothing) {
+  FaceDetector det;
+  // One channel (ImageRgb's default) holding a head-sized disc of a gray
+  // level within the hair gate of all three kHair channels.
+  ImageRgb gray(64, 48);
+  for (int y = 0; y < gray.height(); ++y) {
+    for (int x = 0; x < gray.width(); ++x) {
+      if ((x - 32) * (x - 32) + (y - 24) * (y - 24) <= 144) gray.at(x, y) = 52;
+    }
+  }
+  EXPECT_TRUE(det.Detect(gray).empty());
+  ImageRgb rgba(64, 48, 4);
+  EXPECT_TRUE(det.Detect(rgba).empty());
+}
+
 TEST(FaceDetector, IgnoresTinyBlobs) {
   ImageRgb img = Background(100, 100);
   FillCircle(&img, 50, 50, 2.0, face_model::kSkin);  // below min radius

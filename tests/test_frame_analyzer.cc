@@ -44,6 +44,24 @@ TEST(FrameAnalyzer, AnalyzeChecksFrameCount) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(FrameAnalyzer, AnalyzeRejectsNonRgbFrames) {
+  DiningScene scene = MakeMeetingScenario();
+  auto analyzer =
+      FrameAnalyzer::Create(&scene.rig(), Profiles(scene), {});
+  ASSERT_TRUE(analyzer.ok());
+  std::vector<ImageRgb> frames(4, ImageRgb(64, 48, 3));
+  frames[2] = ImageRgb(64, 48);  // one channel
+  Status status = analyzer.value().Analyze(0, frames).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(scene.rig().camera(2).name()),
+            std::string::npos)
+      << status;
+  // An absent camera's frame is never read, whatever its shape.
+  std::vector<CameraFrameQuality> quality(4, CameraFrameQuality::kFresh);
+  quality[2] = CameraFrameQuality::kAbsent;
+  EXPECT_TRUE(analyzer.value().Analyze(1, frames, quality).ok());
+}
+
 TEST(FrameAnalyzer, MatchesGroundTruthOnRenderedFrames) {
   DiningScene scene = MakeMeetingScenario();
   FrameAnalyzerOptions opt;

@@ -19,7 +19,9 @@ namespace {
 std::string WriteFrames(const std::string& name, int n) {
   const std::string dir = testing::TempDir() + "/" + name;
   FileSystem* fs = FileSystem::Default();
-  if (!fs->Exists(dir)) EXPECT_TRUE(fs->CreateDir(dir).ok());
+  if (!fs->Exists(dir)) {
+    EXPECT_TRUE(fs->CreateDir(dir).ok());
+  }
   for (int i = 0; i < n; ++i) {
     ImageRgb img(6, 4, 3);
     img.Fill(static_cast<uint8_t>(40 + i));

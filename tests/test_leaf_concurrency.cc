@@ -1,8 +1,9 @@
 // Concurrent calls into the vision and ml leaves that keep per-thread
-// workspaces: FaceDetector::Detect (arena), FaceRecognizer::Recognize
-// (embedding) and EmotionRecognizer::Recognize (feature/forward scratch).
-// Four threads walk the same rendered views in different orders, so every
-// thread's workspace is resized back and forth between frames and crops of
+// workspaces: FaceDetector::Detect (masks, labels, flood-fill stack),
+// FaceRecognizer::Recognize (embedding) and EmotionRecognizer::Recognize
+// (feature/forward scratch). Four threads walk the same rendered views and
+// their half-size crops in different orders, so every thread's workspace
+// is resized back and forth between frames of different size and crops of
 // different content; each call must return exactly what a serial call
 // returns.
 
@@ -11,6 +12,7 @@
 #include <algorithm>
 #include <latch>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ml/emotion_recognizer.h"
@@ -47,7 +49,8 @@ const EmotionRecognizer& SmallRecognizer() {
   return *recognizer;
 }
 
-/// Every camera at three instants, clean (sigma 0) and noisy (sigma 6).
+/// Every camera at three instants, clean (sigma 0) and noisy (sigma 6),
+/// each view followed by its centred half-size crop.
 std::vector<ImageRgb> RenderViews(const DiningScene& scene) {
   std::vector<ImageRgb> views;
   for (double sigma : {0.0, 6.0}) {
@@ -56,7 +59,12 @@ std::vector<ImageRgb> RenderViews(const DiningScene& scene) {
     for (double t : {5.0, 10.0, 15.0}) {
       for (int c = 0; c < scene.rig().NumCameras(); ++c) {
         Rng rng(static_cast<uint64_t>(1000 * t) + c);
-        views.push_back(RenderViewAt(scene, t, c, options, &rng));
+        ImageRgb view = RenderViewAt(scene, t, c, options, &rng);
+        ImageRgb crop;
+        view.CropInto(view.width() / 4, view.height() / 4, view.width() / 2,
+                      view.height() / 2, &crop);
+        views.push_back(std::move(view));
+        views.push_back(std::move(crop));
       }
     }
   }

@@ -20,7 +20,7 @@ TEST(Tracker, BirthsOnFirstFrame) {
   auto& tracks = t.Update(0, {Det(100, 100), Det(300, 200)});
   EXPECT_EQ(tracks.size(), 2u);
   EXPECT_EQ(tracks[0].hits, 1);
-  // Not confirmed yet (min_hits = 2 default).
+  // Not confirmed yet (Track::kMinHits = 2).
   EXPECT_TRUE(t.ConfirmedTracks().empty());
 }
 

@@ -28,8 +28,9 @@ hot-path-alloc    Inside a region bracketed by `// lint: hot-path-begin(name)`
                   and `// lint: hot-path-end`, per-frame heap allocation is
                   banned: no `new`, no `std::vector<...>` construction
                   (references and pointers are fine), no `.resize(...)`
-                  growth. Hot-path scratch belongs on the frame Arena or in a
-                  reused per-thread scratch struct (see DESIGN.md §13). Lines
+                  growth. Hot-path scratch belongs in a reused per-thread
+                  scratch struct (a function-local `thread_local`, see
+                  DESIGN.md §13), sized before the region opens. Lines
                   that are allocation-free in steady state (e.g. a resize that
                   never exceeds warmed-up capacity) may waive per line with
                   `// lint: allow(hot-path-alloc)` and a comment saying why.
@@ -268,13 +269,13 @@ def check_hot_path_alloc(relpath, lines, findings):
         if HOT_NEW.search(code):
             findings.append(Finding(
                 relpath, lineno, "hot-path-alloc",
-                f"'new' in hot path '{region[0]}': allocate from the frame "
-                "Arena or a reused scratch struct instead"))
+                f"'new' in hot path '{region[0]}': keep the buffer in a "
+                "per-thread scratch struct (DESIGN.md §13) instead"))
         if HOT_VECTOR.search(code):
             findings.append(Finding(
                 relpath, lineno, "hot-path-alloc",
-                f"std::vector constructed in hot path '{region[0]}': use "
-                "ArenaVector, an arena array, or caller-owned scratch"))
+                f"std::vector constructed in hot path '{region[0]}': use a "
+                "vector kept in a per-thread scratch struct (DESIGN.md §13)"))
         if HOT_RESIZE.search(code):
             findings.append(Finding(
                 relpath, lineno, "hot-path-alloc",
