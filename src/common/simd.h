@@ -10,8 +10,8 @@
 ///
 /// Equivalence contract: every vectorized kernel produces output
 /// BIT-IDENTICAL to its scalar reference on the same input.
-///  - Integer kernels (LBP codes, color masks, occupancy) are exact by
-///    construction.
+///  - Integer kernels (LBP codes, color masks with their occupancy maps)
+///    are exact by construction.
 ///  - The float matvec fixes a lane-partitioned summation order (four
 ///    interleaved partial sums combined as (l0+l2)+(l1+l3)) that both
 ///    implementations share, so IEEE-754 determinism makes them agree to
@@ -675,13 +675,28 @@ inline void LbpCodes(const uint8_t* gray, int w, int h, uint8_t* codes) {
 // ---------------------------------------------------------------------------
 // Detector color gates: one pass over an interleaved RGB buffer producing
 // two binary masks (1 where every channel is within tolerance of the
-// reference color, 0 otherwise). Byte-exact by construction.
+// reference color, 0 otherwise) and each mask's occupancy map: occ[c] = 1
+// when any of mask[64c .. 64c+63] is nonzero (the last chunk may be
+// short). The detector's component-seed scan walks occupied chunks only,
+// so an almost-empty mask costs no full-frame pixel walk. Byte-exact by
+// construction.
 // ---------------------------------------------------------------------------
 
-inline void ColorMasks2Scalar(const uint8_t* rgb, size_t n_px, uint8_t ar,
-                              uint8_t ag, uint8_t ab, int a_tol, uint8_t br,
-                              uint8_t bg, uint8_t bb, int b_tol,
-                              uint8_t* mask_a, uint8_t* mask_b) {
+/// Chunk width (mask bytes per occupancy entry).
+inline constexpr int kOccChunk = 64;
+
+/// Number of occupancy entries covering an n-byte mask.
+inline size_t OccupancyEntries(size_t n) {
+  return (n + kOccChunk - 1) / kOccChunk;
+}
+
+namespace internal {
+
+/// The two masks alone, pixel by pixel.
+inline void ColorGatesScalar(const uint8_t* rgb, size_t n_px, uint8_t ar,
+                             uint8_t ag, uint8_t ab, int a_tol, uint8_t br,
+                             uint8_t bg, uint8_t bb, int b_tol,
+                             uint8_t* mask_a, uint8_t* mask_b) {
   auto absdiff = [](int p, int q) { return p > q ? p - q : q - p; };
   const uint8_t* px = rgb;
   for (size_t i = 0; i < n_px; ++i, px += 3) {
@@ -694,6 +709,31 @@ inline void ColorMasks2Scalar(const uint8_t* rgb, size_t n_px, uint8_t ar,
                         absdiff(b, bb) <= b_tol
                     ? 1
                     : 0;
+  }
+}
+
+/// 1 when any of bytes[0 .. n) is nonzero.
+inline uint8_t AnyNonzero(const uint8_t* bytes, size_t n) {
+  uint8_t any = 0;
+  for (size_t i = 0; i < n; ++i) any |= bytes[i];
+  return any ? 1 : 0;
+}
+
+}  // namespace internal
+
+inline void ColorMasks2Scalar(const uint8_t* rgb, size_t n_px, uint8_t ar,
+                              uint8_t ag, uint8_t ab, int a_tol, uint8_t br,
+                              uint8_t bg, uint8_t bb, int b_tol,
+                              uint8_t* mask_a, uint8_t* mask_b,
+                              uint8_t* occ_a, uint8_t* occ_b) {
+  internal::ColorGatesScalar(rgb, n_px, ar, ag, ab, a_tol, br, bg, bb, b_tol,
+                             mask_a, mask_b);
+  for (size_t c = 0; c < OccupancyEntries(n_px); ++c) {
+    const size_t begin = c * kOccChunk;
+    const size_t len = n_px - begin < size_t{kOccChunk} ? n_px - begin
+                                                        : size_t{kOccChunk};
+    occ_a[c] = internal::AnyNonzero(mask_a + begin, len);
+    occ_b[c] = internal::AnyNonzero(mask_b + begin, len);
   }
 }
 
@@ -723,6 +763,8 @@ inline constexpr std::array<uint32_t, 4096> kEvery3rdBitToBytes = [] {
   }
   return t;
 }();
+/// Bit 3p of a 48-bit verdict word for each of its 16 pixels p.
+inline constexpr uint64_t kPixelVerdictBits = 0x249249249249ull;
 #endif
 
 }  // namespace internal
@@ -730,7 +772,7 @@ inline constexpr std::array<uint32_t, 4096> kEvery3rdBitToBytes = [] {
 inline void ColorMasks2(const uint8_t* rgb, size_t n_px, uint8_t ar,
                         uint8_t ag, uint8_t ab, int a_tol, uint8_t br,
                         uint8_t bg, uint8_t bb, int b_tol, uint8_t* mask_a,
-                        uint8_t* mask_b) {
+                        uint8_t* mask_b, uint8_t* occ_a, uint8_t* occ_b) {
   alignas(16) uint8_t pat_a[48], pat_b[48];
   internal::FillRgbPattern(ar, ag, ab, pat_a);
   internal::FillRgbPattern(br, bg, bb, pat_b);
@@ -739,11 +781,13 @@ inline void ColorMasks2(const uint8_t* rgb, size_t n_px, uint8_t ar,
   // nothing (handled by the scalar path below).
   if (a_tol < 0 || b_tol < 0) {
     ColorMasks2Scalar(rgb, n_px, ar, ag, ab, a_tol, br, bg, bb, b_tol,
-                      mask_a, mask_b);
+                      mask_a, mask_b, occ_a, occ_b);
     return;
   }
   const uint8_t ta = a_tol > 255 ? 255 : static_cast<uint8_t>(a_tol);
   const uint8_t tb = b_tol > 255 ? 255 : static_cast<uint8_t>(b_tol);
+  // `gate16(i, &any_a, &any_b)` writes mask bytes i .. i+15 and ORs a
+  // nonzero value into any_a / any_b when a pixel passes that gate.
 #if defined(DIEVENT_SIMD_SSE2)
   const __m128i tol_a = _mm_set1_epi8(static_cast<char>(ta));
   const __m128i tol_b = _mm_set1_epi8(static_cast<char>(tb));
@@ -752,8 +796,7 @@ inline void ColorMasks2(const uint8_t* rgb, size_t n_px, uint8_t ar,
     ref_a[v] = _mm_load_si128(reinterpret_cast<const __m128i*>(pat_a) + v);
     ref_b[v] = _mm_load_si128(reinterpret_cast<const __m128i*>(pat_b) + v);
   }
-  size_t i = 0;
-  for (; i + 16 <= n_px; i += 16) {
+  auto gate16 = [&](size_t i, uint64_t* any_a, uint64_t* any_b) {
     const uint8_t* base = rgb + 3 * i;
     // Compress each 16-byte verdict vector straight to 16 bits; the three
     // pieces form a 48-bit word whose bit k mirrors channel-verdict byte
@@ -780,10 +823,23 @@ inline void ColorMasks2(const uint8_t* rgb, size_t n_px, uint8_t ar,
             << (16 * v);
     }
     // Pixel p passes when bits 3p, 3p+1, 3p+2 are all set — bit 3p of
-    // w & (w >> 1) & (w >> 2). The table spreads each group of four such
-    // bits (12 word bits = 4 pixels) to four 0/1 output bytes.
-    const uint64_t va = wa & (wa >> 1) & (wa >> 2);
-    const uint64_t vb = wb & (wb >> 1) & (wb >> 2);
+    // w & (w >> 1) & (w >> 2); the other bits are masked off, so a word
+    // is zero exactly when no pixel of the group passes.
+    const uint64_t va =
+        wa & (wa >> 1) & (wa >> 2) & internal::kPixelVerdictBits;
+    const uint64_t vb =
+        wb & (wb >> 1) & (wb >> 2) & internal::kPixelVerdictBits;
+    *any_a |= va;
+    *any_b |= vb;
+    if ((va | vb) == 0) {
+      // The common case away from heads: no table look-ups at all.
+      const __m128i zero = _mm_setzero_si128();
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(mask_a + i), zero);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(mask_b + i), zero);
+      return;
+    }
+    // The table spreads each group of four pixel bits (12 word bits =
+    // 4 pixels) to four 0/1 output bytes.
     for (int g = 0; g < 4; ++g) {
       const uint32_t ea =
           internal::kEvery3rdBitToBytes[(va >> (12 * g)) & 0xFFF];
@@ -792,7 +848,7 @@ inline void ColorMasks2(const uint8_t* rgb, size_t n_px, uint8_t ar,
       std::memcpy(mask_a + i + 4 * g, &ea, 4);
       std::memcpy(mask_b + i + 4 * g, &eb, 4);
     }
-  }
+  };
 #else   // DIEVENT_SIMD_NEON
   const uint8x16_t tol_a = vdupq_n_u8(ta);
   const uint8x16_t tol_b = vdupq_n_u8(tb);
@@ -801,10 +857,9 @@ inline void ColorMasks2(const uint8_t* rgb, size_t n_px, uint8_t ar,
     ref_a[v] = vld1q_u8(pat_a + 16 * v);
     ref_b[v] = vld1q_u8(pat_b + 16 * v);
   }
-  size_t i = 0;
   const uint8x16_t zero = vdupq_n_u8(0);
   alignas(16) uint8_t c_a[48], c_b[48];
-  for (; i + 16 <= n_px; i += 16) {
+  auto gate16 = [&](size_t i, uint64_t* any_a, uint64_t* any_b) {
     const uint8_t* base = rgb + 3 * i;
     uint8x16_t oka[3], okb[3];
     for (int v = 0; v < 3; ++v) {
@@ -827,16 +882,38 @@ inline void ColorMasks2(const uint8_t* rgb, size_t n_px, uint8_t ar,
                vandq_u8(okb[v], vandq_u8(vextq_u8(okb[v], nb, 1),
                                          vextq_u8(okb[v], nb, 2))));
     }
+    uint8_t hit_a = 0, hit_b = 0;
     for (int p = 0; p < 16; ++p) {
       mask_a[i + p] = c_a[3 * p] & 1;
       mask_b[i + p] = c_b[3 * p] & 1;
+      hit_a |= mask_a[i + p];
+      hit_b |= mask_b[i + p];
     }
-  }
+    *any_a |= hit_a;
+    *any_b |= hit_b;
+  };
 #endif
-  if (i < n_px) {
-    ColorMasks2Scalar(rgb + 3 * i, n_px - i, ar, ag, ab, a_tol, br, bg, bb,
-                      b_tol, mask_a + i, mask_b + i);
+  // Whole 64-pixel chunks: four vector groups, then the chunk's verdict.
+  size_t i = 0;
+  for (; i + kOccChunk <= n_px; i += kOccChunk) {
+    uint64_t any_a = 0, any_b = 0;
+    for (size_t q = 0; q < kOccChunk; q += 16) gate16(i + q, &any_a, &any_b);
+    occ_a[i / kOccChunk] = any_a != 0 ? 1 : 0;
+    occ_b[i / kOccChunk] = any_b != 0 ? 1 : 0;
   }
+  if (i == n_px) return;
+  // The short last chunk: whole vector groups, then a scalar tail.
+  const size_t last = i / kOccChunk;
+  uint64_t any_a = 0, any_b = 0;
+  for (; i + 16 <= n_px; i += 16) gate16(i, &any_a, &any_b);
+  if (i < n_px) {
+    internal::ColorGatesScalar(rgb + 3 * i, n_px - i, ar, ag, ab, a_tol, br,
+                               bg, bb, b_tol, mask_a + i, mask_b + i);
+    any_a |= internal::AnyNonzero(mask_a + i, n_px - i);
+    any_b |= internal::AnyNonzero(mask_b + i, n_px - i);
+  }
+  occ_a[last] = any_a != 0 ? 1 : 0;
+  occ_b[last] = any_b != 0 ? 1 : 0;
 }
 
 #else
@@ -844,87 +921,9 @@ inline void ColorMasks2(const uint8_t* rgb, size_t n_px, uint8_t ar,
 inline void ColorMasks2(const uint8_t* rgb, size_t n_px, uint8_t ar,
                         uint8_t ag, uint8_t ab, int a_tol, uint8_t br,
                         uint8_t bg, uint8_t bb, int b_tol, uint8_t* mask_a,
-                        uint8_t* mask_b) {
+                        uint8_t* mask_b, uint8_t* occ_a, uint8_t* occ_b) {
   ColorMasks2Scalar(rgb, n_px, ar, ag, ab, a_tol, br, bg, bb, b_tol, mask_a,
-                    mask_b);
-}
-
-#endif
-
-// ---------------------------------------------------------------------------
-// Occupancy map: occ[c] = 1 when any of mask[64c .. 64c+63] is nonzero
-// (the last chunk may be short). The detector's component-seed scan walks
-// occupied chunks only, so an almost-empty mask costs a strided OR-reduce
-// instead of a full-frame pixel walk.
-// ---------------------------------------------------------------------------
-
-/// Chunk width (bytes of mask per occupancy entry).
-inline constexpr int kOccChunk = 64;
-
-/// Number of occupancy entries covering an n-byte mask.
-inline size_t OccupancyEntries(size_t n) {
-  return (n + kOccChunk - 1) / kOccChunk;
-}
-
-inline void OccupancyMapScalar(const uint8_t* mask, size_t n, uint8_t* occ) {
-  const size_t chunks = OccupancyEntries(n);
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = c * kOccChunk;
-    const size_t end = begin + kOccChunk < n ? begin + kOccChunk : n;
-    uint8_t any = 0;
-    for (size_t i = begin; i < end; ++i) any |= mask[i];
-    occ[c] = any ? 1 : 0;
-  }
-}
-
-#if defined(DIEVENT_SIMD_SSE2)
-
-inline void OccupancyMap(const uint8_t* mask, size_t n, uint8_t* occ) {
-  size_t c = 0;
-  const size_t full = n / kOccChunk;
-  for (; c < full; ++c) {
-    const __m128i* p =
-        reinterpret_cast<const __m128i*>(mask + c * kOccChunk);
-    const __m128i any = _mm_or_si128(
-        _mm_or_si128(_mm_loadu_si128(p + 0), _mm_loadu_si128(p + 1)),
-        _mm_or_si128(_mm_loadu_si128(p + 2), _mm_loadu_si128(p + 3)));
-    occ[c] = _mm_movemask_epi8(
-                 _mm_cmpeq_epi8(any, _mm_setzero_si128())) != 0xFFFF
-                 ? 1
-                 : 0;
-  }
-  if (c * kOccChunk < n) {
-    OccupancyMapScalar(mask + c * kOccChunk, n - c * kOccChunk, occ + c);
-  }
-}
-
-#elif defined(DIEVENT_SIMD_NEON)
-
-inline void OccupancyMap(const uint8_t* mask, size_t n, uint8_t* occ) {
-  size_t c = 0;
-  const size_t full = n / kOccChunk;
-  for (; c < full; ++c) {
-    const uint8_t* p = mask + c * kOccChunk;
-    const uint8x16_t any =
-        vorrq_u8(vorrq_u8(vld1q_u8(p), vld1q_u8(p + 16)),
-                 vorrq_u8(vld1q_u8(p + 32), vld1q_u8(p + 48)));
-    // OR-reduce the vector to one byte pair via max.
-    const uint8x8_t fold = vorr_u8(vget_low_u8(any), vget_high_u8(any));
-    uint8_t bytes[8];
-    vst1_u8(bytes, fold);
-    uint8_t acc = 0;
-    for (int i = 0; i < 8; ++i) acc |= bytes[i];
-    occ[c] = acc ? 1 : 0;
-  }
-  if (c * kOccChunk < n) {
-    OccupancyMapScalar(mask + c * kOccChunk, n - c * kOccChunk, occ + c);
-  }
-}
-
-#else
-
-inline void OccupancyMap(const uint8_t* mask, size_t n, uint8_t* occ) {
-  OccupancyMapScalar(mask, n, occ);
+                    mask_b, occ_a, occ_b);
 }
 
 #endif
@@ -1007,24 +1006,19 @@ inline bool SelfCheck() {
     LbpCodes(img, w, h, got);
     if (std::memcmp(ref, got, sizeof(ref)) != 0) return false;
   }
-  {  // Color masks over 53 pixels (three vectors + tail).
-    const size_t n = 53;
-    uint8_t rgb[53 * 3], ra[53], rb[53], ga[53], gb[53];
+  {  // Color masks and their occupancy over 150 pixels (two whole chunks,
+     // then a short one of one vector group and a tail of 6).
+    const size_t n = 150;
+    uint8_t rgb[150 * 3], ra[150], rb[150], ga[150], gb[150];
+    uint8_t roa[3], rob[3], goa[3], gob[3];
     for (auto& v : rgb) v = static_cast<uint8_t>(next() % 64 + 96);
-    ColorMasks2Scalar(rgb, n, 120, 110, 100, 20, 60, 50, 40, 26, ra, rb);
-    ColorMasks2(rgb, n, 120, 110, 100, 20, 60, 50, 40, 26, ga, gb);
-    if (std::memcmp(ra, ga, n) != 0 || std::memcmp(rb, gb, n) != 0) {
+    ColorMasks2Scalar(rgb, n, 120, 110, 100, 20, 60, 50, 40, 26, ra, rb, roa,
+                      rob);
+    ColorMasks2(rgb, n, 120, 110, 100, 20, 60, 50, 40, 26, ga, gb, goa, gob);
+    if (std::memcmp(ra, ga, n) != 0 || std::memcmp(rb, gb, n) != 0 ||
+        std::memcmp(roa, goa, 3) != 0 || std::memcmp(rob, gob, 3) != 0) {
       return false;
     }
-  }
-  {  // Occupancy over 150 bytes (two full chunks + a short one).
-    uint8_t mask[150] = {};
-    mask[70] = 1;
-    mask[149] = 1;
-    uint8_t ref[3], got[3];
-    OccupancyMapScalar(mask, sizeof(mask), ref);
-    OccupancyMap(mask, sizeof(mask), got);
-    if (std::memcmp(ref, got, sizeof(ref)) != 0) return false;
   }
   return true;
 }

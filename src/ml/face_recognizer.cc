@@ -38,6 +38,8 @@ void FaceEmbedder::EmbedInto(const ImageRgb& frame, const FaceDetection& det,
   // lint: hot-path-begin(face-embed)
   std::vector<double>& emb = *out;
   emb.clear();
+  // The marker mean and the histogram read three channels per pixel.
+  if (frame.channels() != 3) return;
   emb.reserve(kDims);
 
   // Marker (cap) region mean color.
@@ -167,6 +169,7 @@ IdentityMatch FaceRecognizer::Recognize(
 
 IdentityMatch FaceRecognizer::Recognize(const ImageRgb& frame,
                                         const FaceDetection& det) const {
+  if (frame.channels() != 3) return IdentityMatch{};
   // One head per detection per frame, from concurrent vision tasks: the
   // embedding's capacity is reused per thread.
   thread_local std::vector<double> embedding;

@@ -30,7 +30,8 @@ class FaceEmbedder {
 
   /// As above, but overwrites `emb` reusing its capacity — the hot path
   /// embeds one head per detection per frame, so per-call allocation of
-  /// the 67-dim vector is measurable.
+  /// the 67-dim vector is measurable. A frame without exactly 3 channels
+  /// (RGB) yields an empty embedding.
   void EmbedInto(const ImageRgb& frame, const FaceDetection& detection,
                  std::vector<double>* emb) const;
 
@@ -65,7 +66,8 @@ class FaceRecognizer {
   IdentityMatch Recognize(const std::vector<double>& embedding) const;
 
   /// Convenience: embed + recognize. Safe to call concurrently; the
-  /// embedding reuses a per-thread vector.
+  /// embedding reuses a per-thread vector. A frame without exactly 3
+  /// channels (RGB) matches nobody (id -1).
   IdentityMatch Recognize(const ImageRgb& frame,
                           const FaceDetection& detection) const;
 

@@ -158,7 +158,8 @@ namespace {
 /// breaker/hold-last-good state. A free function taking the pieces
 /// explicitly (rather than a member) because the supervisor's nested
 /// ReadOutcome type cannot appear in video_source.h — the headers would
-/// be circular.
+/// be circular. It reads `last_good` for a failed camera but never writes
+/// it: MultiCameraSource::CaptureLastGood does that copy afterwards.
 void FoldOutcomes(const AcquisitionPolicy& policy, int index,
                   const std::vector<int>& attempts,
                   const std::vector<bool>& probing,
@@ -187,7 +188,6 @@ void FoldOutcomes(const AcquisitionPolicy& policy, int index,
       }
       health.breaker = CameraHealth::Breaker::kClosed;
       health.consecutive_failures = 0;
-      health.last_good = slot.frame;
       continue;
     }
 
@@ -233,6 +233,14 @@ void FoldOutcomes(const AcquisitionPolicy& policy, int index,
 
 }  // namespace
 
+void MultiCameraSource::CaptureLastGood(const SynchronizedFrameSet& set) {
+  if (!policy_.hold_last_good) return;  // nothing would ever read the copy
+  for (size_t c = 0; c < set.cameras.size(); ++c) {
+    const CameraFrame& slot = set.cameras[c];
+    if (slot.fresh()) health_[c].last_good = slot.frame;
+  }
+}
+
 SynchronizedFrameSet MultiCameraSource::ReadSet(int index) {
   SynchronizedFrameSet set;
   set.frame_index = index;
@@ -250,6 +258,7 @@ SynchronizedFrameSet MultiCameraSource::ReadSet(int index) {
 
   FoldOutcomes(policy_, index, attempts, probing, &outcomes, &health_,
                &resamplers_, &set);
+  CaptureLastGood(set);
   return set;
 }
 
@@ -304,9 +313,12 @@ bool MultiCameraSource::PumpPush(SynchronizedFrameSet set) {
 
 void MultiCameraSource::PumpLoop() {
   EnsureSupervisor();
-  // Exactly the sequential ReadSet sequence, one frame ahead: the push of
-  // the previous (folded) set — which may block on backpressure — overlaps
-  // the wall-clock window the supervisor's readers spend on this frame.
+  // Exactly the sequential ReadSet sequence, one frame ahead: the
+  // last-good capture and the push of the previous (folded) set — the
+  // push may block on backpressure — overlap the wall-clock window the
+  // supervisor's readers spend on this frame. The capture still precedes
+  // both the push (after which the consumer may move the set's images)
+  // and this frame's fold (the only reader of last_good).
   std::optional<SynchronizedFrameSet> ready;
   for (int index = pump_->next_index; index < num_frames_;
        index += pump_->stride) {
@@ -318,15 +330,21 @@ void MultiCameraSource::PumpLoop() {
     DecideAdmission(index, &set, &attempts, &probing);
     AcquisitionSupervisor::PendingRead pending =
         supervisor_->BeginRead(index, attempts);
-    if (ready.has_value() && !PumpPush(std::move(*ready))) return;
-    ready.reset();
+    if (ready.has_value()) {
+      CaptureLastGood(*ready);
+      if (!PumpPush(std::move(*ready))) return;
+      ready.reset();
+    }
     std::vector<AcquisitionSupervisor::ReadOutcome> outcomes =
         supervisor_->FinishRead(std::move(pending));
     FoldOutcomes(policy_, index, attempts, probing, &outcomes, &health_,
                  &resamplers_, &set);
     ready = std::move(set);
   }
-  if (ready.has_value() && !PumpPush(std::move(*ready))) return;
+  if (ready.has_value()) {
+    CaptureLastGood(*ready);
+    if (!PumpPush(std::move(*ready))) return;
+  }
   {
     MutexLock lock(pump_->mutex);
     pump_->done = true;

@@ -158,6 +158,9 @@ struct CameraHealth {
   Breaker breaker = Breaker::kClosed;
   int consecutive_failures = 0;
   int quarantined_at_frame = -1;  ///< frame index that opened the breaker
+  /// The camera's latest fresh or retried frame, the source of held
+  /// slots. Stays empty when the policy's hold_last_good is false: nothing
+  /// would read it, so no good read pays for the copy.
   std::optional<VideoFrame> last_good;
 
   // Lifetime tallies for degradation reporting.
@@ -254,6 +257,11 @@ class MultiCameraSource {
   /// One full synchronized read (admission, concurrent read, fold); the
   /// body GetFrames runs inline and the pump runs ahead.
   SynchronizedFrameSet ReadSet(int index);
+  /// Copies each fresh or retried slot of a folded set into its camera's
+  /// last_good (a no-op unless the policy holds last good frames). Must
+  /// run before the set is handed to the consumer and before the next
+  /// set's fold; the pump runs it while the next set's reads are out.
+  void CaptureLastGood(const SynchronizedFrameSet& set);
   void PumpLoop();
   /// Blocks until the queue has room, then hands `set` to the consumer.
   /// Returns false if StopPrefetch was requested.

@@ -39,24 +39,24 @@ constexpr double kMaxAspect = 2.2;
 /// Detections overlapping more than this IoU are non-max suppressed.
 constexpr double kNmsIou = 0.4;
 
-/// Workspace of one Detect call: the two color masks, and the chunk
-/// occupancy map, label array and flood-fill stack that the skin and hair
+/// Workspace of one Detect call: the two color masks, each with its chunk
+/// occupancy map, and the flood-fill stack that the skin and hair
 /// component passes share. Capacity only grows, so steady-state frames
 /// reuse it without touching the heap.
 struct DetectScratch {
   std::vector<uint8_t> skin_mask;
   std::vector<uint8_t> hair_mask;
-  std::vector<uint8_t> occupancy;
-  std::vector<int32_t> labels;
+  std::vector<uint8_t> skin_occupancy;
+  std::vector<uint8_t> hair_occupancy;
   std::vector<int32_t> stack;
 
   /// Makes every per-pixel buffer hold at least `n` entries.
   void GrowTo(size_t n) {
-    if (labels.size() >= n) return;
+    if (skin_mask.size() >= n) return;
     skin_mask.resize(n);
     hair_mask.resize(n);
-    occupancy.resize(simd::OccupancyEntries(n));
-    labels.resize(n);
+    skin_occupancy.resize(simd::OccupancyEntries(n));
+    hair_occupancy.resize(simd::OccupancyEntries(n));
   }
 };
 
@@ -65,55 +65,45 @@ struct Component {
   long long area = 0;
 };
 
-/// 4-connected component extraction over a binary mask.
+/// 4-connected component extraction over a binary mask, which it consumes:
+/// a pixel's mask byte is cleared when the pixel joins a component, so the
+/// mask itself records which pixels are visited and no label array is
+/// needed.
 ///
-/// The scan is driven by a chunk-occupancy map (one byte per 64 mask
-/// bytes, built by a SIMD OR-reduce): the component-seed walk and the
-/// label-array clear both visit occupied chunks only, so the cost scales
+/// The scan is driven by the mask's chunk-occupancy map `occ` (one byte
+/// per 64 mask bytes, written with the mask by simd::ColorMasks2): the
+/// component-seed walk visits occupied chunks only, so the cost scales
 /// with mask density, not frame area — on a typical dining frame faces
-/// cover a few percent of the pixels. Skipping the clear of unoccupied
-/// chunks is sound because labels are only ever read at indices where the
-/// mask is nonzero, and every such index lies in an occupied chunk; for
-/// the same reason, labels that the other pass or an earlier frame left in
-/// an unoccupied chunk are never read.
-/// Occupied chunks are walked in index order, so seeds are discovered in
-/// exactly the row-major order of the full scan and the component list
-/// (and everything downstream) is bit-identical to it.
+/// cover a few percent of the pixels. Every nonzero mask byte lies in an
+/// occupied chunk, so no seed is missed. Occupied chunks are walked in
+/// index order, so seeds are discovered in exactly the row-major order of
+/// the full scan and the component list (and everything downstream) is
+/// bit-identical to it.
 ///
-/// The occupancy map, labels and stack come from `scratch`, sized by the
-/// caller; both passes of a Detect call reuse them.
-std::vector<Component> FindComponents(const uint8_t* mask, int width,
-                                      int height, DetectScratch* scratch) {
+/// The stack comes from `scratch`; both passes of a Detect call reuse it.
+std::vector<Component> FindComponents(uint8_t* mask, const uint8_t* occ,
+                                      int width, int height,
+                                      DetectScratch* scratch) {
   // lint: hot-path-begin(find-components)
   // The returned list is the function's product and escapes the frame, so
   // it alone stays on the heap.
   std::vector<Component> comps;  // lint: allow(hot-path-alloc)
   const size_t n = static_cast<size_t>(width) * height;
   const size_t chunks = simd::OccupancyEntries(n);
-  uint8_t* occ = scratch->occupancy.data();
-  simd::OccupancyMap(mask, n, occ);
-  int32_t* label = scratch->labels.data();
-  for (size_t c = 0; c < chunks; ++c) {
-    if (!occ[c]) continue;
-    const size_t begin = c * simd::kOccChunk;
-    const size_t end = std::min(n, begin + simd::kOccChunk);
-    std::fill(label + begin, label + end, -1);
-  }
   std::vector<int32_t>& stack = scratch->stack;
   for (size_t c = 0; c < chunks; ++c) {
     if (!occ[c]) continue;
     const size_t begin = c * simd::kOccChunk;
     const size_t end = std::min(n, begin + simd::kOccChunk);
     for (size_t idx = begin; idx < end; ++idx) {
-      if (!mask[idx] || label[idx] >= 0) continue;
+      if (!mask[idx]) continue;
       const int x = static_cast<int>(idx) % width;
       const int y = static_cast<int>(idx) / width;
-      int id = static_cast<int>(comps.size());
       Component comp;
       int min_x = x, max_x = x, min_y = y, max_y = y;
       stack.clear();
       stack.push_back(static_cast<int>(idx));
-      label[idx] = id;
+      mask[idx] = 0;
       while (!stack.empty()) {
         int cur = stack.back();
         stack.pop_back();
@@ -129,8 +119,8 @@ std::vector<Component> FindComponents(const uint8_t* mask, int width,
           int nx = cx + d[0], ny = cy + d[1];
           if (nx < 0 || nx >= width || ny < 0 || ny >= height) continue;
           size_t nidx = static_cast<size_t>(ny) * width + nx;
-          if (mask[nidx] && label[nidx] < 0) {
-            label[nidx] = id;
+          if (mask[nidx]) {
+            mask[nidx] = 0;
             stack.push_back(static_cast<int>(nidx));
           }
         }
@@ -158,18 +148,23 @@ std::vector<FaceDetection> FaceDetector::Detect(const ImageRgb& frame) const {
   // raw and suppressed lists are the only heap traffic left here.
   std::vector<FaceDetection> raw;  // lint: allow(hot-path-alloc)
 
-  // Both color gates are evaluated in one pass over the pixel data (the
-  // frame streams through the cache once, 16 pixels per step under SIMD).
+  // Both color gates and both occupancy maps come from one pass over the
+  // pixel data (the frame streams through the cache once, 16 pixels per
+  // step under SIMD).
   const Rgb skin = face_model::kSkin;
   const Rgb hair = face_model::kHair;
   simd::ColorMasks2(frame.data().data(), n, skin.r, skin.g, skin.b,
                     kSkinTolerance, hair.r, hair.g, hair.b, kHairTolerance,
-                    scratch.skin_mask.data(), scratch.hair_mask.data());
+                    scratch.skin_mask.data(), scratch.hair_mask.data(),
+                    scratch.skin_occupancy.data(),
+                    scratch.hair_occupancy.data());
 
   for (bool front : {true, false}) {
-    const uint8_t* mask =
+    uint8_t* mask =
         front ? scratch.skin_mask.data() : scratch.hair_mask.data();
-    for (const Component& c : FindComponents(mask, w, h, &scratch)) {
+    const uint8_t* occ =
+        front ? scratch.skin_occupancy.data() : scratch.hair_occupancy.data();
+    for (const Component& c : FindComponents(mask, occ, w, h, &scratch)) {
       // The head disc's widest extent is skin/hair on both sides, so the
       // bbox width is the best radius estimate; the bottom of the disc is
       // uncovered, so the centre sits one radius above the bbox bottom.

@@ -52,6 +52,8 @@ bool ColorCentroid(const ImageRgb& img, const Vec2& center, double rx,
 FaceLandmarks LandmarkLocalizer::Localize(
     const ImageRgb& frame, const FaceDetection& det) const {
   FaceLandmarks lm;
+  // The color gates read three channels per pixel.
+  if (frame.channels() != 3) return lm;
   if (!det.front_facing || det.radius_px < 4.0) return lm;
 
   const double r = det.radius_px;

@@ -14,8 +14,9 @@ namespace dievent {
 
 class LandmarkLocalizer {
  public:
-  /// Localizes landmarks for one frontal detection. Non-frontal detections
-  /// return landmarks with all validity flags false.
+  /// Localizes landmarks for one frontal detection. Non-frontal detections,
+  /// and any detection on a frame without exactly 3 channels (RGB), return
+  /// landmarks with all validity flags false.
   FaceLandmarks Localize(const ImageRgb& frame,
                          const FaceDetection& detection) const;
 };

@@ -102,6 +102,37 @@ TEST(FaceRecognizer, ConfidenceHigherForCleanMatches) {
   EXPECT_GT(m.confidence, 0.5);
 }
 
+TEST(FaceRecognizer, NonRgbFrameMatchesNobody) {
+  FaceRecognizer rec;
+  ASSERT_TRUE(rec.EnrollProfiles(MeetingProfiles()).ok());
+  ImageRgb crop = RenderFaceCrop(64, Emotion::kNeutral, 1.0, 0, 0,
+                                 Rgb{230, 200, 40});  // P1 yellow
+  FaceDetector det;
+  auto found = det.Detect(crop);
+  ASSERT_EQ(found.size(), 1u);
+  ASSERT_EQ(rec.Recognize(crop, found[0]).id, 0);
+  // The same head as one channel (red only), and as RGBA whose first three
+  // channels hold P1's exact pixels: neither is an RGB frame, so neither
+  // is read as one.
+  ImageRgb gray(crop.width(), crop.height());
+  ImageRgb rgba(crop.width(), crop.height(), 4);
+  for (int y = 0; y < crop.height(); ++y) {
+    for (int x = 0; x < crop.width(); ++x) {
+      gray.at(x, y) = crop.at(x, y, 0);
+      for (int c = 0; c < 3; ++c) rgba.at(x, y, c) = crop.at(x, y, c);
+      rgba.at(x, y, 3) = 255;
+    }
+  }
+  EXPECT_EQ(rec.Recognize(gray, found[0]).id, -1);
+  EXPECT_EQ(rec.Recognize(rgba, found[0]).id, -1);
+  EXPECT_TRUE(FaceEmbedder().Embed(gray, found[0]).empty());
+  // A box over the whole one-channel frame: reading three channels at its
+  // last pixel would run past the buffer.
+  FaceDetection whole = found[0];
+  whole.bbox = BBox{0, 0, gray.width(), gray.height()};
+  EXPECT_EQ(rec.Recognize(gray, whole).id, -1);
+}
+
 TEST(FaceEmbedder, DifferentMarkersFarApart) {
   FaceEmbedder emb;
   FaceDetector det;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 
 #include "core/pipeline.h"
 #include "sim/scenario.h"
@@ -257,6 +258,8 @@ TEST(MultiCameraDegradation, RetryRecoversTransientDrop) {
   }
   EXPECT_GT(retried, 0);
   EXPECT_GT(multi.value().health(0).retries, 0);
+  // With holding off, no good read pays for a last-good copy.
+  EXPECT_FALSE(multi.value().health(0).last_good.has_value());
 }
 
 TEST(MultiCameraDegradation, HoldsLastGoodFrameThroughFlakyWindow) {
@@ -290,6 +293,72 @@ TEST(MultiCameraDegradation, HoldsLastGoodFrameThroughFlakyWindow) {
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back.value().cameras[0].fresh());
   EXPECT_EQ(multi.value().health(0).held, 1);
+}
+
+TEST(MultiCameraDegradation, PumpHoldsTheLastGoodDecodeByteForByte) {
+  // Camera 1 fails frames 10 and 11, right after its fresh frame 9. Its
+  // decodes carry per-frame noise on a per-pixel pattern, so only frame
+  // 9's own decode matches it byte for byte. The held slots must be that
+  // decode whether the sets come from GetFrames alone or from the
+  // prefetch pump, which captures last-good frames while the next set's
+  // reads are out: a capture after the push would copy a set the consumer
+  // may already own, and one after the next fold would hold frame 8.
+  FaultSpec noisy;
+  noisy.seed = 17;
+  noisy.corrupt_probability = 1.0;
+  noisy.corrupt_sigma = 20.0;
+  FaultSpec flaky = noisy;
+  flaky.flaky_windows = {{10, 12}};
+  auto pattern_camera = [](FaultSpec spec) {
+    std::vector<ImageRgb> frames;
+    for (int i = 0; i < 16; ++i) {
+      ImageRgb f(32, 24, 3);
+      for (size_t k = 0; k < f.size(); ++k) {
+        f.data()[k] = static_cast<uint8_t>(k * 7 + static_cast<size_t>(i) * 29);
+      }
+      frames.push_back(std::move(f));
+    }
+    return std::make_unique<FaultyVideoSource>(
+        std::make_unique<MemoryVideoSource>(std::move(frames), 10.0), spec);
+  };
+  auto reference = pattern_camera(flaky);
+  const VideoFrame fresh9 = reference->GetFrame(9).value();
+  ASSERT_FALSE(fresh9.image == reference->GetFrame(8).value().image);
+
+  AcquisitionPolicy policy;
+  policy.retry_budget = 0;
+  policy.hold_last_good = true;
+  policy.max_held_age = 5;
+  policy.quarantine_after = 3;
+  for (bool prefetch : {false, true}) {
+    SCOPED_TRACE(prefetch ? "prefetch pump" : "GetFrames alone");
+    std::vector<std::unique_ptr<VideoSource>> sources;
+    sources.push_back(pattern_camera(noisy));
+    sources.push_back(pattern_camera(flaky));
+    auto multi = MultiCameraSource::Create(std::move(sources), policy);
+    ASSERT_TRUE(multi.ok());
+    if (prefetch) {
+      ASSERT_TRUE(multi.value().StartPrefetch(0, 1, 2).ok());
+    }
+    for (int f = 0; f < 13; ++f) {
+      auto set = multi.value().GetFrames(f);
+      ASSERT_TRUE(set.ok());
+      const CameraFrame& slot = set.value().cameras[1];
+      if (f < 10 || f == 12) {
+        EXPECT_TRUE(slot.fresh()) << "frame " << f;
+        continue;
+      }
+      ASSERT_EQ(slot.status, CameraFrameStatus::kHeld) << "frame " << f;
+      EXPECT_EQ(slot.frame.index, 9) << "frame " << f;
+      ASSERT_EQ(slot.frame.image.size(), fresh9.image.size());
+      EXPECT_EQ(0, std::memcmp(slot.frame.image.data().data(),
+                               fresh9.image.data().data(),
+                               fresh9.image.size()))
+          << "frame " << f;
+    }
+    multi.value().StopPrefetch();
+    EXPECT_EQ(multi.value().health(1).held, 2);
+  }
 }
 
 TEST(MultiCameraDegradation, CircuitBreakerQuarantinesAndReadmits) {

@@ -107,5 +107,34 @@ TEST(Landmarks, DarkCapDoesNotPolluteIris) {
   EXPECT_LT((lm.right_iris - lm.right_eye).Norm(), 0.3 * er);
 }
 
+TEST(LandmarkLocalizer, NonRgbFrameYieldsNoLandmarks) {
+  // A frontal detection near the bottom-right corner of a one-channel
+  // frame whose every byte equals the mouth color's red level: the mouth
+  // window reaches the last pixel, so reading three channels there would
+  // run past the buffer.
+  FaceDetection det;
+  det.center_px = Vec2{60, 44};
+  det.radius_px = 10;
+  det.bbox = BBox{50, 34, 14, 14};
+  ImageRgb gray(64, 48);
+  gray.Fill(face_model::kMouth.r);
+  LandmarkLocalizer loc;
+  FaceLandmarks lm = loc.Localize(gray, det);
+  EXPECT_FALSE(lm.eyes_valid);
+  EXPECT_FALSE(lm.mouth_valid);
+  // Four channels, the first three holding a real frontal face.
+  auto [crop, found] = RenderAndDetect(0.0, 0.0);
+  ASSERT_TRUE(loc.Localize(crop, found).mouth_valid);
+  ImageRgb rgba(crop.width(), crop.height(), 4);
+  for (int y = 0; y < crop.height(); ++y) {
+    for (int x = 0; x < crop.width(); ++x) {
+      for (int c = 0; c < 3; ++c) rgba.at(x, y, c) = crop.at(x, y, c);
+    }
+  }
+  lm = loc.Localize(rgba, found);
+  EXPECT_FALSE(lm.eyes_valid);
+  EXPECT_FALSE(lm.mouth_valid);
+}
+
 }  // namespace
 }  // namespace dievent

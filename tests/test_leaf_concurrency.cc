@@ -1,5 +1,5 @@
 // Concurrent calls into the vision and ml leaves that keep per-thread
-// workspaces: FaceDetector::Detect (masks, labels, flood-fill stack),
+// workspaces: FaceDetector::Detect (masks, occupancy maps, flood-fill stack),
 // FaceRecognizer::Recognize (embedding) and EmotionRecognizer::Recognize
 // (feature/forward scratch). Four threads walk the same rendered views and
 // their half-size crops in different orders, so every thread's workspace

@@ -138,6 +138,43 @@ TEST(SimdLbp, ConstantAndExtremeImages) {
   }
 }
 
+/// Checks the fused kernel against the scalar reference on `rgb` (masks
+/// and occupancy maps byte for byte), and the reference's maps against a
+/// direct OR over its masks. Every output starts as garbage, so a byte the
+/// kernel fails to write shows.
+void CheckColorMasksOn(const std::vector<uint8_t>& rgb, int a_tol,
+                       int b_tol) {
+  const size_t n_px = rgb.size() / 3;
+  const size_t chunks = simd::OccupancyEntries(n_px);
+  std::vector<uint8_t> ra(n_px, 9), rb(n_px, 9), ga(n_px, 7), gb(n_px, 7);
+  std::vector<uint8_t> roa(chunks, 9), rob(chunks, 9), goa(chunks, 7),
+      gob(chunks, 7);
+  simd::ColorMasks2Scalar(rgb.data(), n_px, 130, 120, 110, a_tol, 70, 60,
+                          50, b_tol, ra.data(), rb.data(), roa.data(),
+                          rob.data());
+  simd::ColorMasks2(rgb.data(), n_px, 130, 120, 110, a_tol, 70, 60, 50,
+                    b_tol, ga.data(), gb.data(), goa.data(), gob.data());
+  // memcmp must not see the null data() of an empty vector.
+  ASSERT_TRUE(n_px == 0 || std::memcmp(ra.data(), ga.data(), n_px) == 0)
+      << "n=" << n_px;
+  ASSERT_TRUE(n_px == 0 || std::memcmp(rb.data(), gb.data(), n_px) == 0)
+      << "n=" << n_px;
+  ASSERT_TRUE(chunks == 0 || std::memcmp(roa.data(), goa.data(), chunks) == 0)
+      << "n=" << n_px;
+  ASSERT_TRUE(chunks == 0 || std::memcmp(rob.data(), gob.data(), chunks) == 0)
+      << "n=" << n_px;
+  for (size_t c = 0; c < chunks; ++c) {
+    uint8_t any_a = 0, any_b = 0;
+    for (size_t i = c * simd::kOccChunk;
+         i < std::min(n_px, (c + 1) * simd::kOccChunk); ++i) {
+      any_a |= ra[i];
+      any_b |= rb[i];
+    }
+    ASSERT_EQ(roa[c], any_a ? 1 : 0) << "n=" << n_px << " chunk " << c;
+    ASSERT_EQ(rob[c], any_b ? 1 : 0) << "n=" << n_px << " chunk " << c;
+  }
+}
+
 void CheckColorMasks(size_t n_px, int a_tol, int b_tol, uint32_t seed,
                      int spread = 64) {
   XorShift rng(seed);
@@ -146,20 +183,30 @@ void CheckColorMasks(size_t n_px, int a_tol, int b_tol, uint32_t seed,
   for (auto& v : rgb) {
     v = static_cast<uint8_t>(rng.Next() % (2 * spread) + (128 - spread));
   }
-  std::vector<uint8_t> ra(n_px, 9), rb(n_px, 9), ga(n_px, 7), gb(n_px, 7);
-  simd::ColorMasks2Scalar(rgb.data(), n_px, 130, 120, 110, a_tol, 70, 60,
-                          50, b_tol, ra.data(), rb.data());
-  simd::ColorMasks2(rgb.data(), n_px, 130, 120, 110, a_tol, 70, 60, 50,
-                    b_tol, ga.data(), gb.data());
-  // memcmp must not see the null data() of an empty vector.
-  ASSERT_TRUE(n_px == 0 || std::memcmp(ra.data(), ga.data(), n_px) == 0)
-      << "n=" << n_px;
-  ASSERT_TRUE(n_px == 0 || std::memcmp(rb.data(), gb.data(), n_px) == 0)
-      << "n=" << n_px;
+  CheckColorMasksOn(rgb, a_tol, b_tol);
+}
+
+/// `n_px` pixels of a color both gates miss (channel distance > 32 from
+/// either reference).
+std::vector<uint8_t> MissingPixels(size_t n_px) {
+  std::vector<uint8_t> rgb(n_px * 3);
+  for (size_t i = 0; i < n_px; ++i) {
+    rgb[3 * i] = 250;
+    rgb[3 * i + 1] = 10;
+    rgb[3 * i + 2] = 200;
+  }
+  return rgb;
+}
+
+void SetPixel(std::vector<uint8_t>* rgb, size_t i, uint8_t r, uint8_t g,
+              uint8_t b) {
+  (*rgb)[3 * i] = r;
+  (*rgb)[3 * i + 1] = g;
+  (*rgb)[3 * i + 2] = b;
 }
 
 TEST(SimdColorMasks, ExhaustiveSmallCounts) {
-  for (size_t n = 0; n <= 40; ++n) CheckColorMasks(n, 32, 26, 59 + n);
+  for (size_t n = 0; n <= 200; ++n) CheckColorMasks(n, 32, 26, 59 + n);
 }
 
 TEST(SimdColorMasks, LargeCountsAndTolerances) {
@@ -169,43 +216,41 @@ TEST(SimdColorMasks, LargeCountsAndTolerances) {
   CheckColorMasks(1017, 32, 26, 73);    // odd tail
 }
 
-void CheckOccupancy(size_t n, uint32_t seed, double density) {
-  XorShift rng(seed);
-  std::vector<uint8_t> mask(n, 0);
-  const uint32_t threshold =
-      static_cast<uint32_t>(density * 4294967295.0);
-  for (auto& v : mask) v = rng.Next() < threshold ? 1 : 0;
-  const size_t chunks = simd::OccupancyEntries(n);
-  std::vector<uint8_t> ref(chunks, 9), got(chunks, 7);
-  simd::OccupancyMapScalar(mask.data(), n, ref.data());
-  simd::OccupancyMap(mask.data(), n, got.data());
-  ASSERT_EQ(0, std::memcmp(ref.data(), got.data(), chunks)) << "n=" << n;
-}
-
-TEST(SimdOccupancy, ExhaustiveSmallSizes) {
-  for (size_t n = 1; n <= 200; ++n) CheckOccupancy(n, 79 + n, 0.05);
-}
-
-TEST(SimdOccupancy, LargeAndDensitySweep) {
-  for (double density : {0.0, 0.001, 0.5, 1.0}) {
-    CheckOccupancy(640 * 480, 83, density);
-    CheckOccupancy(640 * 480 + 37, 89, density);  // short last chunk
+TEST(SimdColorMasks, ShortLastChunk) {
+  // n % 64 != 0 and n % 16 != 0: the last chunk holds vector groups and a
+  // scalar tail; with a hit only in the tail, only the tail sets its entry.
+  for (size_t n : {size_t{71}, size_t{100}, size_t{150}, size_t{190},
+                   size_t{640 * 480 + 37}}) {
+    CheckColorMasks(n, 32, 26, 97 + static_cast<uint32_t>(n));
+    std::vector<uint8_t> rgb = MissingPixels(n);
+    SetPixel(&rgb, n - 1, 130, 120, 110);
+    CheckColorMasksOn(rgb, 32, 26);
+    std::vector<uint8_t> occ_a(simd::OccupancyEntries(n)),
+        occ_b(simd::OccupancyEntries(n)), mask_a(n), mask_b(n);
+    simd::ColorMasks2(rgb.data(), n, 130, 120, 110, 32, 70, 60, 50, 26,
+                      mask_a.data(), mask_b.data(), occ_a.data(),
+                      occ_b.data());
+    EXPECT_EQ(1, occ_a.back()) << "n=" << n;
+    EXPECT_EQ(0, occ_b.back()) << "n=" << n;
   }
 }
 
-TEST(SimdOccupancy, NonBooleanMaskValues) {
-  // Any nonzero byte counts as occupied, not just 1.
-  std::vector<uint8_t> mask(130, 0);
-  mask[0] = 255;
-  mask[129] = 7;
-  const size_t chunks = simd::OccupancyEntries(mask.size());
-  std::vector<uint8_t> ref(chunks), got(chunks);
-  simd::OccupancyMapScalar(mask.data(), mask.size(), ref.data());
-  simd::OccupancyMap(mask.data(), mask.size(), got.data());
-  EXPECT_EQ(0, std::memcmp(ref.data(), got.data(), chunks));
-  EXPECT_EQ(1, ref[0]);
-  EXPECT_EQ(0, ref[1]);
-  EXPECT_EQ(1, ref[2]);
+TEST(SimdColorMasks, AllMissGroupsAndSingleLaneHits) {
+  // Three whole chunks in which both gates miss everywhere: every mask and
+  // map byte must still be written (as zero) over the garbage.
+  const size_t n = 3 * simd::kOccChunk;
+  CheckColorMasksOn(MissingPixels(n), 32, 26);
+  // One hit at each lane of a 16-pixel group, for each gate alone and both
+  // at once, in the second chunk's third group.
+  for (size_t lane = 0; lane < 16; ++lane) {
+    const size_t i = simd::kOccChunk + 32 + lane;
+    for (int which = 0; which < 3; ++which) {
+      std::vector<uint8_t> rgb = MissingPixels(n);
+      if (which != 1) SetPixel(&rgb, i, 130, 120, 110);
+      if (which != 0) SetPixel(&rgb, which == 2 ? i ^ 1 : i, 70, 60, 50);
+      CheckColorMasksOn(rgb, 32, 26);
+    }
+  }
 }
 
 // --- Batched gradient and Adam step ----------------------------------------
